@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke clean
+.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check clean
 
 all: build test
 
@@ -54,9 +54,9 @@ bench:
 bench-ipc:
 	$(GO) run ./cmd/rossf-bench ipc -out BENCH_ipc.json
 
-# Streaming TCP fan-out throughput, batched egress vs the legacy
-# per-frame path (the baseline is measured in the same binary via
-# ros.SetLegacyEgress and recorded in the JSON) -> BENCH_egress.json.
+# Streaming TCP fan-out throughput through the batched egress path
+# -> BENCH_egress.json. (The A/B against the per-frame path it replaced
+# is recorded in EXPERIMENTS.md.)
 bench-egress:
 	$(GO) run ./cmd/rossf-bench egress -out BENCH_egress.json
 
@@ -71,8 +71,7 @@ bench-fanout:
 	$(GO) run ./cmd/rossf-bench fanout -out BENCH_fanout.json
 
 # Receive-side matrix: batched ingress drain (one Read wakeup draining
-# many frames) vs the legacy two-syscalls-per-frame path, measured in
-# the same binary via ros.SetLegacyIngress, plus the sharded-registry
+# many frames) through the receive pump, plus the sharded-registry
 # contention cells (64 goroutines x 10k topics; scan-stall bound vs the
 # single-mutex layout) -> BENCH_ingress.json.
 bench-ingress:
@@ -113,6 +112,11 @@ experiments:
 # schema (see scripts/stats_smoke.sh).
 stats-smoke:
 	sh scripts/stats_smoke.sh
+
+# Structural guard for the connection pipeline (DESIGN §3.15): one
+# receive pump, one negotiation site, no legacy switches.
+pipeline-check:
+	sh scripts/pipeline_check.sh
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -217,7 +217,7 @@ func runIPC(args []string) error {
 func runEgress(args []string) error {
 	fs := flag.NewFlagSet("egress", flag.ContinueOnError)
 	messages := fs.Int("messages", 3000, "measured messages at the smallest payload size")
-	repeats := fs.Int("repeats", 3, "runs per (cell, mode); the best run is reported")
+	repeats := fs.Int("repeats", 3, "runs per cell; the best run is reported")
 	out := fs.String("out", "", "write the result as JSON to this file (e.g. BENCH_egress.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -371,7 +371,7 @@ func runFailover(args []string) error {
 func runIngress(args []string) error {
 	fs := flag.NewFlagSet("ingress", flag.ContinueOnError)
 	frames := fs.Int("frames", 30000, "measured frames at the smallest payload size")
-	repeats := fs.Int("repeats", 3, "runs per (cell, mode); the best run is reported")
+	repeats := fs.Int("repeats", 3, "runs per cell; the best run is reported")
 	goroutines := fs.Int("goroutines", 64, "workers in the registry-contention cells")
 	topics := fs.Int("topics", 10000, "topic namespace width in the registry-contention cells")
 	ops := fs.Int("ops", 50000, "lookups per worker in the registry-contention cells")

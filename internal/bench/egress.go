@@ -18,19 +18,18 @@ import (
 // publisher streaming to N loopback-TCP subscribers as fast as a credit
 // window allows. Unlike the lockstep IPC benchmark, the publisher keeps
 // a backlog in flight, so the write loop sees queued frames and the
-// batched egress path actually engages. Every cell is measured twice —
-// once through the legacy per-frame path (ros.SetLegacyEgress) and once
-// through the vectored batch path — so the result carries its own
-// baseline.
+// batched egress path actually engages. The A/B against the deleted
+// per-frame path is on file in EXPERIMENTS.md, with a recipe to
+// re-measure it from the last commit that carried both.
 type EgressConfig struct {
 	Sizes    []int // payload sizes in bytes
 	Fanouts  []int // subscriber counts
 	Messages int   // measured messages at the smallest size (scaled down for larger payloads)
-	Repeats  int   // runs per (cell, mode); the best run is reported
+	Repeats  int   // runs per cell; the best run is reported
 
-	// Registry receives the run's transport instruments; the batched
-	// rows record the observed frames-per-write from it as proof the
-	// batch path engaged. Defaults to a private registry.
+	// Registry receives the run's transport instruments; each row
+	// records the observed frames-per-write from it as proof the batch
+	// path engaged. Defaults to a private registry.
 	Registry *obs.Registry
 }
 
@@ -56,8 +55,8 @@ func (c *EgressConfig) fillDefaults() {
 // comparable byte volume: the configured count at <=16 KiB, scaled
 // down for larger payloads. The floor keeps megabyte-payload runs
 // long enough (~200 ms) that TCP window ramp-up and scheduler noise
-// amortize — at 64 messages a 1 MiB cell is a ~45 ms run whose
-// mode-to-mode ratio swings ±15% run to run.
+// amortize — at 64 messages a 1 MiB cell is a ~45 ms run that swings
+// ±15% run to run.
 func (c *EgressConfig) messagesFor(size int) int {
 	n := c.Messages
 	if size > 16<<10 {
@@ -69,27 +68,21 @@ func (c *EgressConfig) messagesFor(size int) int {
 	return n
 }
 
-// EgressRow is one (size, fanout) cell. Baseline numbers come from the
-// legacy per-frame egress path (two writes per frame, CRC recomputed
-// per connection) run in the same binary immediately before the batched
-// measurement.
+// EgressRow is one (size, fanout) cell.
 type EgressRow struct {
-	SizeBytes        int     `json:"size_bytes"`
-	Subscribers      int     `json:"subscribers"`
-	Messages         int     `json:"messages"`
-	BaselineNsPerMsg float64 `json:"baseline_ns_per_msg"`
-	BatchedNsPerMsg  float64 `json:"batched_ns_per_msg"`
-	MsgsPerSec       float64 `json:"msgs_per_sec"`
-	MBPerSec         float64 `json:"mb_per_sec"` // aggregate across subscribers
-	FramesPerWrite   float64 `json:"frames_per_write"`
-	Speedup          float64 `json:"speedup_vs_baseline"`
+	SizeBytes      int     `json:"size_bytes"`
+	Subscribers    int     `json:"subscribers"`
+	Messages       int     `json:"messages"`
+	NsPerMsg       float64 `json:"ns_per_msg"`
+	MsgsPerSec     float64 `json:"msgs_per_sec"`
+	MBPerSec       float64 `json:"mb_per_sec"` // aggregate across subscribers
+	FramesPerWrite float64 `json:"frames_per_write"`
 }
 
 // EgressResult is the full matrix, serialized to BENCH_egress.json by
 // the bench CLI.
 type EgressResult struct {
-	Baseline string      `json:"baseline"`
-	Rows     []EgressRow `json:"rows"`
+	Rows []EgressRow `json:"rows"`
 }
 
 // JSON renders the result for BENCH_egress.json.
@@ -104,14 +97,13 @@ func (r *EgressResult) JSON() ([]byte, error) {
 // Format renders the matrix as a table.
 func (r *EgressResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Egress — streaming TCP fan-out, batched vs per-frame baseline\n")
-	fmt.Fprintf(&b, "  baseline: %s\n", r.Baseline)
-	fmt.Fprintf(&b, "  %-10s %-6s %14s %14s %12s %12s %10s\n",
-		"size", "subs", "base ns/msg", "batch ns/msg", "agg MB/s", "frames/wr", "speedup")
+	fmt.Fprintf(&b, "Egress — streaming TCP fan-out\n")
+	fmt.Fprintf(&b, "  %-10s %-6s %14s %12s %12s\n",
+		"size", "subs", "ns/msg", "agg MB/s", "frames/wr")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-10s %-6d %14.0f %14.0f %12.1f %12.1f %9.2fx\n",
-			formatBytes(row.SizeBytes), row.Subscribers, row.BaselineNsPerMsg,
-			row.BatchedNsPerMsg, row.MBPerSec, row.FramesPerWrite, row.Speedup)
+		fmt.Fprintf(&b, "  %-10s %-6d %14.0f %12.1f %12.1f\n",
+			formatBytes(row.SizeBytes), row.Subscribers, row.NsPerMsg,
+			row.MBPerSec, row.FramesPerWrite)
 	}
 	return b.String()
 }
@@ -119,9 +111,7 @@ func (r *EgressResult) Format() string {
 // RunEgress measures the matrix.
 func RunEgress(cfg EgressConfig) (*EgressResult, error) {
 	cfg.fillDefaults()
-	res := &EgressResult{
-		Baseline: "legacy per-frame egress: two writes per frame, CRC recomputed per connection (ros.SetLegacyEgress)",
-	}
+	res := &EgressResult{}
 	for _, size := range cfg.Sizes {
 		for _, fanout := range cfg.Fanouts {
 			row, err := runEgressCell(size, fanout, cfg)
@@ -134,35 +124,25 @@ func RunEgress(cfg EgressConfig) (*EgressResult, error) {
 	return res, nil
 }
 
-// runEgressCell measures one (size, fanout) cell in both modes,
-// interleaving repeats (legacy, batched, legacy, ...) so slow drift in
-// machine load hits both modes evenly, and keeping the best run of
-// each.
+// runEgressCell measures one (size, fanout) cell, keeping the best of
+// the configured repeats.
 func runEgressCell(size, fanout int, cfg EgressConfig) (EgressRow, error) {
 	n := cfg.messagesFor(size)
-	row := EgressRow{SizeBytes: size, Subscribers: fanout, Messages: n,
-		BaselineNsPerMsg: math.Inf(1), BatchedNsPerMsg: math.Inf(1)}
+	row := EgressRow{SizeBytes: size, Subscribers: fanout, Messages: n, NsPerMsg: math.Inf(1)}
 	before := cfg.Registry.Snapshot().Egress
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, legacy := range []bool{true, false} {
-			ns, err := runEgressOnce(size, fanout, n, legacy, cfg)
-			if err != nil {
-				return row, err
-			}
-			if legacy {
-				row.BaselineNsPerMsg = math.Min(row.BaselineNsPerMsg, ns)
-			} else {
-				row.BatchedNsPerMsg = math.Min(row.BatchedNsPerMsg, ns)
-			}
+		ns, err := runEgressOnce(size, fanout, n, cfg)
+		if err != nil {
+			return row, err
 		}
+		row.NsPerMsg = math.Min(row.NsPerMsg, ns)
 	}
 	after := cfg.Registry.Snapshot().Egress
 	if writes := after.Writes - before.Writes; writes > 0 {
 		row.FramesPerWrite = float64(after.Frames-before.Frames) / float64(writes)
 	}
-	row.MsgsPerSec = 1e9 / row.BatchedNsPerMsg
-	row.MBPerSec = float64(size) * float64(fanout) / row.BatchedNsPerMsg * 1e9 / 1e6
-	row.Speedup = row.BaselineNsPerMsg / row.BatchedNsPerMsg
+	row.MsgsPerSec = 1e9 / row.NsPerMsg
+	row.MBPerSec = float64(size) * float64(fanout) / row.NsPerMsg * 1e9 / 1e6
 	return row, nil
 }
 
@@ -180,10 +160,7 @@ const (
 // run: publish n messages under the credit window, then wait until
 // every subscriber has received all of them. Returns wall-clock
 // nanoseconds per published message.
-func runEgressOnce(size, fanout, n int, legacy bool, cfg EgressConfig) (float64, error) {
-	prev := ros.SetLegacyEgress(legacy)
-	defer ros.SetLegacyEgress(prev)
-
+func runEgressOnce(size, fanout, n int, cfg EgressConfig) (float64, error) {
 	master := ros.NewLocalMaster()
 	pubNode, err := ros.NewNode("egress_pub", ros.WithMaster(master), ros.WithMetrics(cfg.Registry))
 	if err != nil {

@@ -6,13 +6,12 @@ import (
 	"rossf/internal/obs"
 )
 
-// TestEgressShapeHolds runs one small cell in both modes and checks the
-// structural claims: both the baseline and batched numbers are
-// recorded, and at a coalescible payload size the batched run really
-// shipped multiple frames per write (the instruments would read ~1.0 if
-// the write loop degenerated to one frame per syscall). Absolute
-// speedups are timing-sensitive and left to the full `make
-// bench-egress` run; this test only pins the shape.
+// TestEgressShapeHolds runs one small cell and checks the structural
+// claims: the measurement is recorded, and at a coalescible payload size
+// the run really shipped multiple frames per write (the instruments
+// would read ~1.0 if the write loop degenerated to one frame per
+// syscall). Absolute throughput is timing-sensitive and left to the
+// full `make bench-egress` run; this test only pins the shape.
 func TestEgressShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streaming benchmark cell; skipped under -short")
@@ -32,18 +31,12 @@ func TestEgressShapeHolds(t *testing.T) {
 		t.Fatalf("got %d rows, want 1", len(res.Rows))
 	}
 	row := res.Rows[0]
-	if row.BaselineNsPerMsg <= 0 || row.BatchedNsPerMsg <= 0 {
-		t.Fatalf("missing measurement: baseline=%v batched=%v", row.BaselineNsPerMsg, row.BatchedNsPerMsg)
-	}
-	if row.Speedup <= 0 {
-		t.Errorf("speedup not recorded: %v", row.Speedup)
+	if row.NsPerMsg <= 0 || row.MsgsPerSec <= 0 {
+		t.Fatalf("missing measurement: %+v", row)
 	}
 	if row.FramesPerWrite <= 1 {
 		t.Errorf("FramesPerWrite = %.2f, want > 1 (batching never engaged under a backlogged window)",
 			row.FramesPerWrite)
-	}
-	if res.Baseline == "" {
-		t.Error("result must describe its baseline")
 	}
 	t.Logf("\n%s", res.Format())
 }

@@ -15,15 +15,15 @@ import (
 
 // IngressConfig parameterizes the receive-side matrix: a high-rate
 // single-subscriber drain (one publisher saturating one TCP reader, the
-// mirror image of the egress bench) measured through the batched
-// ingress reader and through the legacy per-frame path
-// (ros.SetLegacyIngress), plus a registry-contention matrix — N
+// mirror image of the egress bench) measured through the receive pump
+// (the A/B against the deleted per-frame reader is on file in
+// EXPERIMENTS.md), plus a registry-contention matrix — N
 // goroutines hammering per-topic instrument lookups across a 10k-topic
 // namespace on the sharded registry vs a single-mutex reference.
 type IngressConfig struct {
 	Sizes   []int // drain payload sizes in bytes
 	Frames  int   // measured frames at the smallest size (scaled down for larger payloads)
-	Repeats int   // runs per (cell, mode); the best run is reported
+	Repeats int   // runs per cell; the best run is reported
 
 	Goroutines int // contention workers (the paper-scale cell uses 64)
 	Topics     int // contention namespace size (the paper-scale cell uses 10000)
@@ -72,18 +72,13 @@ func (c *IngressConfig) framesFor(size int) int {
 	return n
 }
 
-// IngressDrainRow is one single-subscriber drain cell. Baseline numbers
-// come from the legacy sequential path (two ReadFull syscalls per
-// frame) run in the same binary, interleaved with the batched
-// measurements.
+// IngressDrainRow is one single-subscriber drain cell.
 type IngressDrainRow struct {
-	SizeBytes        int     `json:"size_bytes"`
-	Frames           int     `json:"frames"`
-	BaselineNsPerMsg float64 `json:"baseline_ns_per_msg"`
-	BatchedNsPerMsg  float64 `json:"batched_ns_per_msg"`
-	FramesPerSec     float64 `json:"frames_per_sec"`
-	MBPerSec         float64 `json:"mb_per_sec"`
-	Speedup          float64 `json:"speedup_vs_baseline"`
+	SizeBytes    int     `json:"size_bytes"`
+	Frames       int     `json:"frames"`
+	NsPerMsg     float64 `json:"ns_per_msg"`
+	FramesPerSec float64 `json:"frames_per_sec"`
+	MBPerSec     float64 `json:"mb_per_sec"`
 }
 
 // IngressRegistryRow is one contention cell: the same
@@ -133,16 +128,14 @@ func (r *IngressResult) JSON() ([]byte, error) {
 // Format renders the matrix as tables.
 func (r *IngressResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Ingress — batched frame drain vs per-frame baseline\n")
-	fmt.Fprintf(&b, "  baseline: %s\n", r.Baseline)
-	fmt.Fprintf(&b, "  %-10s %12s %14s %14s %12s %10s\n",
-		"size", "frames", "base ns/msg", "batch ns/msg", "MB/s", "speedup")
+	fmt.Fprintf(&b, "Ingress — batched frame drain\n")
+	fmt.Fprintf(&b, "  %-10s %12s %14s %12s\n", "size", "frames", "ns/msg", "MB/s")
 	for _, row := range r.Drain {
-		fmt.Fprintf(&b, "  %-10s %12d %14.0f %14.0f %12.1f %9.2fx\n",
-			formatBytes(row.SizeBytes), row.Frames, row.BaselineNsPerMsg,
-			row.BatchedNsPerMsg, row.MBPerSec, row.Speedup)
+		fmt.Fprintf(&b, "  %-10s %12d %14.0f %12.1f\n",
+			formatBytes(row.SizeBytes), row.Frames, row.NsPerMsg, row.MBPerSec)
 	}
 	fmt.Fprintf(&b, "\nRegistry — sharded per-topic state vs single mutex\n")
+	fmt.Fprintf(&b, "  baseline: %s\n", r.Baseline)
 	fmt.Fprintf(&b, "  (stall = time the data-plane lock is held by one introspection scan)\n")
 	fmt.Fprintf(&b, "  %-8s %6s %8s %12s %12s %14s %14s %10s\n",
 		"kind", "gos", "topics", "mutex ns/op", "shard ns/op", "mutex stall", "shard stall", "speedup")
@@ -159,7 +152,7 @@ func (r *IngressResult) Format() string {
 func RunIngress(cfg IngressConfig) (*IngressResult, error) {
 	cfg.fillDefaults()
 	res := &IngressResult{
-		Baseline: "legacy per-frame ingress: two ReadFull syscalls per frame (ros.SetLegacyIngress); single-mutex registries for the contention cells",
+		Baseline: "single-mutex registries for the contention cells",
 	}
 	for _, size := range cfg.Sizes {
 		row, err := runIngressDrainCell(size, cfg)
@@ -196,40 +189,28 @@ const (
 	ingressQueueSize  = 512
 )
 
-// runIngressDrainCell measures one payload size in both modes,
-// interleaving repeats so machine-load drift hits both evenly, and
-// keeping the best run of each.
+// runIngressDrainCell measures one payload size, keeping the best of
+// the configured repeats.
 func runIngressDrainCell(size int, cfg IngressConfig) (IngressDrainRow, error) {
 	n := cfg.framesFor(size)
-	row := IngressDrainRow{SizeBytes: size, Frames: n,
-		BaselineNsPerMsg: math.Inf(1), BatchedNsPerMsg: math.Inf(1)}
+	row := IngressDrainRow{SizeBytes: size, Frames: n, NsPerMsg: math.Inf(1)}
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, legacy := range []bool{true, false} {
-			ns, err := runIngressDrainOnce(size, n, legacy, cfg)
-			if err != nil {
-				return row, err
-			}
-			if legacy {
-				row.BaselineNsPerMsg = math.Min(row.BaselineNsPerMsg, ns)
-			} else {
-				row.BatchedNsPerMsg = math.Min(row.BatchedNsPerMsg, ns)
-			}
+		ns, err := runIngressDrainOnce(size, n, cfg)
+		if err != nil {
+			return row, err
 		}
+		row.NsPerMsg = math.Min(row.NsPerMsg, ns)
 	}
-	row.FramesPerSec = 1e9 / row.BatchedNsPerMsg
-	row.MBPerSec = float64(size) / row.BatchedNsPerMsg * 1e9 / 1e6
-	row.Speedup = row.BaselineNsPerMsg / row.BatchedNsPerMsg
+	row.FramesPerSec = 1e9 / row.NsPerMsg
+	row.MBPerSec = float64(size) / row.NsPerMsg * 1e9 / 1e6
 	return row, nil
 }
 
 // runIngressDrainOnce stands up one publisher → one drain reader and
-// measures a streaming run through the selected ingress path: publish n
-// frames under a credit window, wait until the reader has verified all
-// of them. Returns wall-clock nanoseconds per frame.
-func runIngressDrainOnce(size, n int, legacy bool, cfg IngressConfig) (float64, error) {
-	prev := ros.SetLegacyIngress(legacy)
-	defer ros.SetLegacyIngress(prev)
-
+// measures a streaming run: publish n frames under a credit window,
+// wait until the reader has verified all of them. Returns wall-clock
+// nanoseconds per frame.
+func runIngressDrainOnce(size, n int, cfg IngressConfig) (float64, error) {
 	master := ros.NewLocalMaster()
 	node, err := ros.NewNode("ingress_pub", ros.WithMaster(master), ros.WithMetrics(cfg.Registry))
 	if err != nil {

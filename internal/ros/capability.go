@@ -1,0 +1,277 @@
+package ros
+
+import (
+	"fmt"
+	"log"
+	"os"
+	"strconv"
+	"strings"
+	"time"
+
+	"rossf/internal/core"
+	"rossf/internal/fieldwire"
+	"rossf/internal/shm"
+	"rossf/internal/wire"
+)
+
+// Capability exchange: the one place that decides what a connection can
+// do beyond plain framing. A subscriber builds an offer from what its
+// runtime can pump; the publisher turns it into an answer — a mode, the
+// resources that mode needs, and a typed reject for every capability it
+// declined. Everything is pure header extension: a peer that does not
+// know a key ignores it, so any pairing of builds converges on plain
+// framing. DESIGN §3.15 tabulates the keys below, their direction, the
+// reject reasons and what each falls back to.
+const (
+	hdrTransports      = "transports"
+	hdrPID             = "pid"
+	hdrBootID          = "bootid"
+	hdrTransport       = "transport"
+	hdrShmPrefix       = "shmprefix"
+	hdrShmPeer         = "shmpeer"
+	hdrShmLeaseMS      = "shmlease"
+	hdrShmGen          = "shmgen"
+	hdrFields          = "fields"
+	hdrFieldwire       = "fieldwire"
+	hdrFieldwireReject = "fieldsreject"
+
+	// fieldwireV1 names the sparse encoding of internal/fieldwire.
+	fieldwireV1 = "v1"
+)
+
+// capability is a set of optional things a connection can do. Shared
+// memory outranks field masking: a link that moves descriptors has no
+// payload bytes left to save.
+type capability uint8
+
+const (
+	capShm    capability = 1 << iota // descriptors into shared memory, tagged framing
+	capFields                        // sparse field-masked payloads
+)
+
+// linkMode is the outcome of one exchange.
+type linkMode uint8
+
+const (
+	modePlain linkMode = iota
+	modeShm
+	modeMasked
+)
+
+// Shm reject reasons; field-mask rejects use the fieldwire.Reason*
+// strings, which also travel in the answer.
+const (
+	reasonRemotePeer    = "remote_peer"     // offered shm from another host or boot
+	reasonPeerTableFull = "peer_table_full" // no free peer lease slot
+	reasonOldBuild      = "old_build"       // the granted mode could not be stood up on this side
+)
+
+// reject is one declined capability and why; detail carries the
+// underlying error for the warn-once log.
+type reject struct {
+	cap    capability
+	reason string
+	detail error
+}
+
+// noteReject counts one reject, in aggregate and by reason.
+func (n *Node) noteReject(r reject) {
+	if st := n.shmStats(); st != nil && r.cap == capShm {
+		st.Fallbacks.Inc()
+		switch r.reason {
+		case reasonRemotePeer:
+			st.FallbackRemotePeer.Inc()
+		case reasonPeerTableFull:
+			st.FallbackPeerTableFull.Inc()
+		case reasonOldBuild:
+			st.FallbackOldBuild.Inc()
+		}
+	}
+	if fw := n.fieldwireStats(); fw != nil && r.cap == capFields {
+		fw.MaskRejects.Inc()
+		switch r.reason {
+		case fieldwire.ReasonNoMap:
+			fw.RejectNoMap.Inc()
+		case fieldwire.ReasonVarTail:
+			fw.RejectVarTail.Inc()
+		default:
+			fw.RejectUnmappable.Inc()
+		}
+	}
+}
+
+// offer is what one dial puts on the table.
+type offer struct {
+	caps   capability
+	fields []string
+}
+
+// offer derives this dial's offer from the runtime's decoder set, so a
+// subscription can never advertise a mode it has no decoder for, minus
+// whatever this link declined after an earlier failure. Shm also needs
+// a transport mode that allows it, platform support, and the stock
+// dialer: a custom dialer (netsim links, tunnels) means the connection's
+// address says nothing about machine locality.
+func (s *Subscriber) offer(sc *subConn) offer {
+	caps := s.decoders.caps() &^ sc.declinedCaps()
+	if (s.transport != TransportAuto && s.transport != TransportShm) ||
+		!shm.Available() || s.node.customDial {
+		caps &^= capShm
+	}
+	if len(s.fields) == 0 {
+		caps &^= capFields
+	}
+	return offer{caps: caps, fields: s.fields}
+}
+
+// subscribeHeader is the subscriber's request header for one dial:
+// the topic binding plus whatever o offers.
+func subscribeHeader(topic, typeName, md5, callerID string, sfm bool, o offer) map[string]string {
+	h := map[string]string{
+		hdrTopic:    topic,
+		hdrType:     typeName,
+		hdrMD5:      md5,
+		hdrCallerID: callerID,
+		hdrFormat:   formatName(sfm),
+		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
+	}
+	if o.caps&capShm != 0 {
+		h[hdrTransports] = wire.TransportNameShm + "," + wire.TransportNameTCP
+		h[hdrPID] = strconv.Itoa(os.Getpid())
+		h[hdrBootID] = shm.BootID()
+	}
+	if o.caps&capFields != 0 {
+		h[hdrFields] = strings.Join(o.fields, ",")
+	}
+	return h
+}
+
+// replyMode reads the mode the publisher chose. A reply with neither
+// key (an old build) is plain.
+func replyMode(reply map[string]string) linkMode {
+	switch {
+	case reply[hdrTransport] == wire.TransportNameShm:
+		return modeShm
+	case reply[hdrFieldwire] == fieldwireV1:
+		return modeMasked
+	}
+	return modePlain
+}
+
+// openShm stands up the subscriber side of an shm answer: the peer
+// lease parsed out of the reply, then a mapper over the publisher's
+// segments.
+func (s *Subscriber) openShm(reply map[string]string) (*shm.Mapper, error) {
+	if s.decoders.shm == nil {
+		return nil, fmt.Errorf("%w: publisher selected shm, which was never offered", ErrHandshake)
+	}
+	peer, err := strconv.Atoi(reply[hdrShmPeer])
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad shm peer %q", ErrHandshake, reply[hdrShmPeer])
+	}
+	prefix := reply[hdrShmPrefix]
+	if prefix == "" {
+		return nil, fmt.Errorf("%w: missing shm prefix", ErrHandshake)
+	}
+	lease := shm.DefaultLeaseTimeout
+	if ms, err := strconv.ParseInt(reply[hdrShmLeaseMS], 10, 64); err == nil && ms > 0 {
+		lease = time.Duration(ms) * time.Millisecond
+	}
+	// A missing generation (publisher predating lease generations) is 0,
+	// which disables the mapper's lease validation.
+	gen, err := strconv.ParseUint(reply[hdrShmGen], 10, 32)
+	if err != nil {
+		gen = 0
+	}
+	return newShmReceiver(prefix, peer, uint32(gen), lease, s.node.shmStats())
+}
+
+// answer is the publisher's decision about one offer. Nothing in it has
+// touched a counter yet: acceptConn commits it once the connection is
+// admitted and aborts it on every exit before that.
+type answer struct {
+	mode    linkMode
+	shm     *shmSender      // the peer lease; non-nil iff mode == modeShm
+	mask    *fieldwire.Mask // non-nil iff mode == modeMasked
+	rejects []reject
+}
+
+// answer decides what this endpoint grants. Shm needs an SFM topic, a
+// store, a subscriber on the same boot (same machine) and a free peer
+// lease; a mask needs an SFM topic, a wire map that resolves every
+// path, and a link that did not get shm. Everything else — an empty
+// offer (old build), an unknown transport name, a declined capability —
+// is plain.
+func (ep *pubEndpoint) answer(req map[string]string) answer {
+	var a answer
+	store := ep.node.shmStore
+	if wire.NegotiateTransport(req[hdrTransports], ep.sfm && store != nil) == wire.TransportNameShm {
+		if req[hdrBootID] != shm.BootID() {
+			a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonRemotePeer})
+		} else {
+			pid, _ := strconv.ParseUint(req[hdrPID], 10, 32)
+			if peer, gen, err := store.AcquirePeer(uint32(pid)); err != nil {
+				a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonPeerTableFull, detail: err})
+			} else {
+				a.mode, a.shm = modeShm, &shmSender{store: store, peer: peer, gen: gen}
+			}
+		}
+	}
+	if list := req[hdrFields]; list != "" && ep.sfm && a.mode == modePlain {
+		m, _ := fieldwire.MapFor(ep.typeName) // a nil map resolves to ErrNoMap
+		mask, err := m.Resolve(strings.Split(list, ","))
+		if err != nil {
+			a.rejects = append(a.rejects, reject{cap: capFields, reason: fieldwire.RejectReason(err), detail: err})
+		} else {
+			a.mode, a.mask = modeMasked, mask
+		}
+	}
+	return a
+}
+
+func (a *answer) appendTo(reply map[string]string) {
+	reply[hdrTransport] = wire.TransportNameTCP
+	switch a.mode {
+	case modeShm:
+		store := a.shm.store
+		reply[hdrTransport] = wire.TransportNameShm
+		reply[hdrShmPrefix] = store.Prefix()
+		reply[hdrShmPeer] = strconv.Itoa(a.shm.peer)
+		reply[hdrShmLeaseMS] = strconv.FormatInt(store.LeaseTimeout().Milliseconds(), 10)
+		reply[hdrShmGen] = strconv.FormatUint(uint64(a.shm.gen), 10)
+	case modeMasked:
+		reply[hdrFieldwire] = fieldwireV1
+	}
+	for _, r := range a.rejects {
+		if r.cap == capFields {
+			reply[hdrFieldwireReject] = r.reason
+		}
+	}
+}
+
+// commit records the decision once the connection is admitted: each
+// reject counted once, a served mask counted once, and a rejected mask
+// warned about once per endpoint — a fleet that expects masked bandwidth
+// but falls back to full frames should not degrade silently.
+func (a *answer) commit(ep *pubEndpoint) {
+	for _, r := range a.rejects {
+		ep.node.noteReject(r)
+		if r.cap == capFields && !ep.maskRejectWarned.Swap(true) {
+			log.Printf("ros: topic %q rejected a subscriber field mask (%s: %v); the connection falls back to full frames — see fieldwire.rejects_by_reason in /metrics or `rostopic stats`",
+				ep.topic, r.reason, r.detail)
+		}
+	}
+	if a.mask != nil {
+		if fw := ep.node.fieldwireStats(); fw != nil {
+			fw.MaskedSubscriptions.Inc()
+		}
+	}
+}
+
+// abort releases what the decision reserved for a connection that was
+// never admitted.
+func (a *answer) abort() {
+	if a.shm != nil {
+		a.shm.store.RetirePeer(a.shm.peer)
+	}
+}

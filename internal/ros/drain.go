@@ -3,91 +3,63 @@ package ros
 import (
 	"fmt"
 	"net"
-
-	"rossf/internal/core"
 )
 
 // DialDrain performs the subscriber half of the TCP handshake against a
 // publisher endpoint and returns the raw connection carrying the frame
-// stream (parse it with wire.FrameScanner). It is the bench and tooling
+// stream (consume it with DrainFrames). It is the bench and tooling
 // hook for standing up very large fan-outs: a full Subscriber costs a
 // master watch, a dial goroutine, and a managed reader per connection,
 // which at ten thousand subscribers measures the harness instead of the
 // egress under test. DialDrain buys just the stream — no retry loop, no
-// CRC verification, no dispatch — so the reader side stays a negligible
-// slice of the measurement.
+// dispatch — so the reader side stays a negligible slice of the
+// measurement.
 //
 // The caller owns the connection and must Close it. Frames arrive in
-// the plain untagged framing (the drain never negotiates shm).
+// the plain untagged framing: the drain offers no capability.
 func DialDrain(addr, topic, typeName, md5, callerID string, sfm bool) (net.Conn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	format := formatROS1
-	if sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	fields := map[string]string{
-		hdrTopic:    topic,
-		hdrType:     typeName,
-		hdrMD5:      md5,
-		hdrCallerID: callerID,
-		hdrFormat:   format,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	}
-	if err := writeHeader(conn, fields); err != nil {
+	if _, err := exchange(conn, subscribeHeader(topic, typeName, md5, callerID, sfm, offer{})); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("ros: drain handshake: %w", err)
 	}
-	reply, err := readHeader(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if msg, bad := reply[hdrError]; bad {
-		conn.Close()
-		return nil, fmt.Errorf("ros: publisher rejected drain handshake: %s", msg)
-	}
-	conn.SetDeadline(zeroTime())
 	return conn, nil
 }
 
 // DrainFrames consumes count checked frames from a drained connection
-// through the subscriber's own frame-reading path — batched ingress by
-// default, the sequential per-frame path under SetLegacyIngress — with
-// per-frame CRC verification exactly as the receive pumps do. It is the
-// ingress bench's measurement loop: the real reader, none of the
-// dispatch. progress (optional) is called with the running total after
-// every verified frame, so a pacing publisher can run a credit window
-// against it. Corrupt frames are dropped and do not count.
+// through the receive pump, with per-frame CRC verification exactly as
+// subscriptions get. It is the ingress bench's measurement loop: the
+// real reader, none of the dispatch. progress (optional) is called with
+// the running total after every verified frame, so a pacing publisher
+// can run a credit window against it. Corrupt frames are dropped and do
+// not count.
 func DrainFrames(conn net.Conn, count int, progress func(delivered int)) error {
-	fr := newFrameReader(conn)
-	defer fr.release()
-	var scratch scratchBuf
-	for delivered := 0; delivered < count; {
-		n, crc, err := fr.next()
-		if err != nil {
+	rx := newPump(conn, maxFrameSize, nil)
+	defer rx.release()
+	d := drainDecoder{progress: progress}
+	for d.delivered < count {
+		if err := rx.step(&d); err != nil {
 			return err
-		}
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return err
-			}
-		}
-		if !fr.verify(buf, crc) {
-			continue
-		}
-		delivered++
-		if progress != nil {
-			progress(delivered)
 		}
 	}
 	return nil
+}
+
+type drainDecoder struct {
+	delivered int
+	progress  func(delivered int)
+}
+
+func (d *drainDecoder) decode(rx *pump, n int, crc uint32) (bool, error) {
+	_, ok, err := rx.frame(n, crc)
+	if ok && err == nil {
+		d.delivered++
+		if d.progress != nil {
+			d.progress(d.delivered)
+		}
+	}
+	return ok, err
 }

@@ -3,7 +3,6 @@ package ros
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rossf/internal/obs"
@@ -52,17 +51,6 @@ const (
 	// vectors already pointing into the buffer.
 	egressScratchCap = maxBatchFrames * (coalesceThreshold + wire.FrameHeaderSize + 1)
 )
-
-// legacyEgress routes publisher writes through the pre-batching path:
-// two sequential conn.Writes per frame and a per-connection checksum
-// recompute, with publish-time CRC stamping disabled. It exists so the
-// egress benchmark can measure an honest before/after inside one
-// binary; production code never sets it.
-var legacyEgress atomic.Bool
-
-// SetLegacyEgress toggles the legacy (unbatched, per-frame-checksum)
-// egress path and reports the previous setting. Benchmark-only.
-func SetLegacyEgress(on bool) bool { return legacyEgress.Swap(on) }
 
 // egressScratchPool holds coalesce buffers; one is borrowed per active
 // write loop that has seen at least one small frame.
@@ -184,7 +172,7 @@ func (b *egressBatch) flush() bool {
 		p := it.bytes()
 		tag := it.tag
 		if b.tagged && tag == 0 {
-			tag = tagInline // latched/legacy items carry message bytes
+			tag = tagInline // latched items carry message bytes
 		}
 		crc := it.crc
 		if !it.crcOK {
@@ -263,50 +251,4 @@ func (b *egressBatch) close() {
 		egressScratchPool.Put(b.scratch)
 		b.scratch = nil
 	}
-}
-
-// writeFrameLegacy is the pre-vectoring frame writer: header then
-// payload as two sequential writes, checksum recomputed here. Kept as
-// the measured baseline behind SetLegacyEgress.
-func writeFrameLegacy(conn net.Conn, payload []byte) error {
-	var hdr [wire.FrameHeaderSize]byte
-	wire.PutFrameHeader(hdr[:], len(payload), wire.Checksum(payload))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
-}
-
-// writeTaggedFrameLegacy is the pre-vectoring tagged writer (two
-// writes, per-call checksum), kept as the measured baseline.
-func writeTaggedFrameLegacy(conn net.Conn, tag byte, body []byte) error {
-	var hdr [wire.FrameHeaderSize + 1]byte
-	hdr[wire.FrameHeaderSize] = tag
-	wire.PutFrameHeader(hdr[:wire.FrameHeaderSize], len(body)+1, wire.Checksum2(hdr[wire.FrameHeaderSize:], body))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(body)
-	return err
-}
-
-// writeOneLegacy ships one item on the pre-batching path.
-func (pc *pubConn) writeOneLegacy(it frameItem) bool {
-	if pc.writeTimeout > 0 {
-		pc.conn.SetWriteDeadline(time.Now().Add(pc.writeTimeout))
-	}
-	it.undo = nil
-	var err error
-	if pc.shm != nil {
-		tag := it.tag
-		if tag == 0 {
-			tag = tagInline
-		}
-		err = writeTaggedFrameLegacy(pc.conn, tag, it.bytes())
-	} else {
-		err = writeFrameLegacy(pc.conn, it.bytes())
-	}
-	it.release()
-	return err == nil
 }

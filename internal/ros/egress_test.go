@@ -32,61 +32,73 @@ func (c captureConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
 func (c captureConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestPublishSFMHashesOncePerFanout pins the single-pass checksum
-// property: an SFM publish fanning out to N TCP subscribers hashes the
-// arena exactly once (at publish time), and the write loop ships the
-// stamped value without rehashing.
+// property: however many TCP subscribers an SFM publish fans out to,
+// the arena is hashed exactly once. With two or more consumers the hash
+// runs at publish time and every queued item carries the stamped value,
+// so the write loops rehash nothing. With one consumer (and no shard
+// pool) the item is enqueued unstamped and the connection's write loop
+// pays the one pass — off the publish path, where it overlaps the next
+// publish (the 1 MiB x 1-subscriber cell; its timing is watched by the
+// tcp_1m_sfm workload in BENCHMARK.json).
 func TestPublishSFMHashesOncePerFanout(t *testing.T) {
-	const fanout = 8
-	ep := &pubEndpoint{
-		conns:  make(map[*pubConn]struct{}),
-		inproc: make(map[inprocTarget]uint64),
-	}
-	conns := make([]*pubConn, 0, fanout)
-	for i := 0; i < fanout; i++ {
-		pc := &pubConn{
-			conn: discardConn{},
-			ch:   make(chan frameItem, fanout),
-			stop: make(chan struct{}),
+	for _, fanout := range []int{1, 2, 8} {
+		ep := &pubEndpoint{
+			conns:  make(map[*pubConn]struct{}),
+			inproc: make(map[inprocTarget]uint64),
 		}
-		ep.conns[pc] = struct{}{}
-		conns = append(conns, pc)
-	}
-
-	m, err := core.NewWithCapacity[queueMsg](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used, err := core.UsedSize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := wire.ChecksumBytes()
-	if err := publishSFM(ep, m); err != nil {
-		t.Fatal(err)
-	}
-	if d := wire.ChecksumBytes() - before; d != uint64(used) {
-		t.Fatalf("publish to %d subscribers hashed %d bytes, want exactly one %d-byte pass",
-			fanout, d, used)
-	}
-
-	// Drain every connection's queue through the batch writer: the
-	// stamped checksums mean not one more byte is hashed on the way out.
-	before = wire.ChecksumBytes()
-	for _, pc := range conns {
-		b := newEgressBatch(pc)
-		for len(pc.ch) > 0 {
-			b.add(<-pc.ch)
+		conns := make([]*pubConn, 0, fanout)
+		for i := 0; i < fanout; i++ {
+			pc := &pubConn{
+				conn: discardConn{},
+				ch:   make(chan frameItem, fanout),
+				stop: make(chan struct{}),
+			}
+			ep.conns[pc] = struct{}{}
+			conns = append(conns, pc)
 		}
-		if !b.flush() {
-			t.Fatal("flush failed")
+
+		m, err := core.NewWithCapacity[queueMsg](1024)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b.close()
+		used, err := core.UsedSize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atPublish, atWrite := uint64(used), uint64(0)
+		if fanout == 1 {
+			atPublish, atWrite = 0, uint64(used)
+		}
+
+		before := wire.ChecksumBytes()
+		if err := publishSFM(ep, m); err != nil {
+			t.Fatal(err)
+		}
+		if d := wire.ChecksumBytes() - before; d != atPublish {
+			t.Fatalf("fan-out %d: publish hashed %d bytes, want %d", fanout, d, atPublish)
+		}
+
+		// Drain every connection's queue through the batch writer.
+		before = wire.ChecksumBytes()
+		for _, pc := range conns {
+			b := newEgressBatch(pc)
+			for len(pc.ch) > 0 {
+				it := <-pc.ch
+				if it.crcOK != (fanout > 1) {
+					t.Fatalf("fan-out %d: queued item stamped = %v", fanout, it.crcOK)
+				}
+				b.add(it)
+			}
+			if !b.flush() {
+				t.Fatal("flush failed")
+			}
+			b.close()
+		}
+		if d := wire.ChecksumBytes() - before; d != atWrite {
+			t.Fatalf("fan-out %d: write loops hashed %d bytes, want %d", fanout, d, atWrite)
+		}
+		core.Release(m)
 	}
-	if d := wire.ChecksumBytes() - before; d != 0 {
-		t.Fatalf("write loop rehashed %d bytes despite stamped checksums", d)
-	}
-	core.Release(m)
 }
 
 // TestBatchStreamDecodesToFrames is the batch framing property test: the

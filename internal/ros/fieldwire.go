@@ -1,12 +1,9 @@
 package ros
 
 import (
-	"log"
 	"net"
-	"strings"
 	"time"
 
-	"rossf/internal/core"
 	"rossf/internal/fieldwire"
 	"rossf/internal/obs"
 	"rossf/internal/wire"
@@ -23,34 +20,10 @@ import (
 // field reads as a typed empty value (zero scalar, empty string/vector
 // descriptor), never as garbage.
 //
-// Negotiation rides the existing connection header: the subscriber
-// offers "fields" (comma-joined dotted paths); a publisher that can
-// serve the mask answers "fieldwire: v1", one that cannot — old build,
-// unknown field, variable-length tail, raw/ROS1 endpoint — omits the
-// key (or names the reason in "fieldsreject") and the connection
-// carries full frames, so mixed fleets always converge. Shared memory
-// outranks field masking: a link that negotiated shm already moves
-// descriptors, not payload bytes.
-const (
-	// hdrFields is the subscriber's offer: comma-joined dotted field
-	// paths ("header.stamp,header.frame_id"). Publishers that predate
-	// field-wire ignore the unknown key, which is the universal
-	// fallback.
-	hdrFields = "fields"
-	// hdrFieldwire is the publisher's acceptance, valued fieldwireV1.
-	hdrFieldwire = "fieldwire"
-	// hdrFieldwireReject carries the publisher's reject reason (one of
-	// the fieldwire.Reason* strings) for diagnosis; the connection
-	// proceeds with full frames either way.
-	hdrFieldwireReject = "fieldsreject"
-	// fieldwireV1 names the sparse encoding of internal/fieldwire.
-	fieldwireV1 = "v1"
-	// fieldsFallbackAfter is how many consecutive undecodable sparse
-	// payloads a masked link tolerates before it redials without the
-	// fields offer — the decode-failure analogue of the shm setup
-	// fallback.
-	fieldsFallbackAfter = 8
-)
+// Which connections get a mask is decided in capability.go (shared
+// memory outranks it, and a publisher that cannot serve the mask falls
+// back to full frames, so mixed fleets always converge); how sparse
+// frames are consumed, in pump.go. This file is the send side.
 
 // WithFields declares the dotted field paths this subscription reads
 // (e.g. "header.stamp", "header.frame_id"). On SFM topics whose
@@ -66,42 +39,6 @@ func WithFields(paths ...string) SubOption {
 // fieldwireStats returns the node's field-wire counters (nil when
 // metrics are disabled).
 func (n *Node) fieldwireStats() *obs.FieldwireStats { return n.metrics.Fieldwire() }
-
-// fieldsOffer renders the subscription's field list as the handshake
-// offer value.
-func (s *Subscriber) fieldsOffer() string { return strings.Join(s.fields, ",") }
-
-// resolveFieldMask turns a subscriber's comma-joined offer into a
-// resolved mask against this endpoint's type, or a typed reject error.
-func (ep *pubEndpoint) resolveFieldMask(list string) (*fieldwire.Mask, error) {
-	m, ok := fieldwire.MapFor(ep.typeName)
-	if !ok {
-		return nil, fieldwire.ErrNoMap
-	}
-	return m.Resolve(strings.Split(list, ","))
-}
-
-// noteMaskReject counts one rejected field mask by reason and warns
-// once per endpoint: a fleet that expects masked bandwidth but falls
-// back to full frames should not degrade silently.
-func (ep *pubEndpoint) noteMaskReject(err error) {
-	reason := fieldwire.RejectReason(err)
-	if fw := ep.node.fieldwireStats(); fw != nil {
-		fw.MaskRejects.Inc()
-		switch reason {
-		case fieldwire.ReasonNoMap:
-			fw.RejectNoMap.Inc()
-		case fieldwire.ReasonVarTail:
-			fw.RejectVarTail.Inc()
-		default:
-			fw.RejectUnmappable.Inc()
-		}
-	}
-	if !ep.maskRejectWarned.Swap(true) {
-		log.Printf("ros: topic %q rejected a subscriber field mask (%s: %v); the connection falls back to full frames — see fieldwire.rejects_by_reason in /metrics or `rostopic stats`",
-			ep.topic, reason, err)
-	}
-}
 
 // sparseBatch is the masked counterpart of egressBatch: it drains one
 // masked connection's queue and ships each message as a sparse payload
@@ -252,187 +189,6 @@ func (b *sparseBatch) flush() bool {
 	return err == nil
 }
 
-// writeLoopSparse is the write loop of a mask-negotiated connection:
-// same adaptive batching discipline as writeLoop, with the sparse
-// encoder in the write stage (publish-time fan-out stays untouched —
-// unmasked subscribers of the same topic share the very same queue
-// items).
-func (pc *pubConn) writeLoopSparse() {
-	b := newSparseBatch(pc)
-	for {
-		select {
-		case <-pc.stop:
-			return
-		case it := <-pc.ch:
-			b.add(it)
-			for !b.full() {
-				select {
-				case more := <-pc.ch:
-					b.add(more)
-					continue
-				default:
-				}
-				break
-			}
-			if !b.flush() {
-				return
-			}
-		}
-	}
-}
-
-// sparseRuntime is implemented by receive runtimes that can decode the
-// sparse payload encoding; a runtime without it makes the subscriber
-// redial mask-less.
-type sparseRuntime interface {
-	runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn)
-}
-
-// runConnSparse consumes sparse frames from a mask-negotiated
-// connection: outer frame CRC, then table validation, then
-// materialization into a fresh arena with per-range CRCs and zero-
-// filled gaps — a corrupted or mis-sliced payload is dropped before
-// anything can be adopted as a live message. Persistent decode failure
-// (a peer whose encoding we cannot track) disables the mask on this
-// link and redials for full frames.
-func (r *sfmRuntime[T]) runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn) {
-	srcLittle := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	fw := r.sub.node.fieldwireStats()
-	var dec fieldwire.Decoder
-	var scratch scratchBuf
-	badStreak := 0
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// Sparse payloads are parsed and materialized before the next
-		// reader call, so the batch's in-place slice is safe; oversized
-		// payloads and the legacy path copy through scratch.
-		payload, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			payload = scratch.take(n)
-			if err := fr.readFull(payload); err != nil {
-				return
-			}
-		}
-		if !fr.verify(payload, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		fullSize, perr := dec.Parse(payload, maxFrameSize)
-		if perr != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			badStreak++
-			if badStreak >= fieldsFallbackAfter {
-				sc.disableFields()
-				if fw != nil {
-					fw.MaskFallbacks.Inc()
-				}
-				return // redial offers full frames only
-			}
-			continue
-		}
-		badStreak = 0
-		buf := r.mgr.GetBuffer(fullSize)
-		if err := dec.Materialize(payload, buf.Bytes()[:fullSize]); err != nil {
-			buf.Discard()
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			continue
-		}
-		if err := core.ConvertEndianness(buf.Bytes()[:fullSize], r.layout, srcLittle); err != nil {
-			buf.Discard()
-			return
-		}
-		m, err := core.Adopt[T](buf, fullSize)
-		if err != nil {
-			buf.Discard()
-			continue
-		}
-		// Instrumented size is the wire payload, not the materialized
-		// arena, so subscriber byte counters show the on-wire saving.
-		r.deliverAdopted(m, n)
-	}
-}
-
-// runConnSparse for raw subscriptions (rostopic echo/bw -fields):
-// materializes each sparse payload into a scratch full-size image and
-// delivers it as a normal SFM frame.
-func (r *rawSFMRuntime) runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn) {
-	little := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	fw := r.sub.node.fieldwireStats()
-	var dec fieldwire.Decoder
-	var scratch, msgBuf scratchBuf
-	badStreak := 0
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		payload, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			payload = scratch.take(n)
-			if err := fr.readFull(payload); err != nil {
-				return
-			}
-		}
-		if !fr.verify(payload, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		fullSize, perr := dec.Parse(payload, maxFrameSize)
-		if perr != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			badStreak++
-			if badStreak >= fieldsFallbackAfter {
-				sc.disableFields()
-				if fw != nil {
-					fw.MaskFallbacks.Inc()
-				}
-				return
-			}
-			continue
-		}
-		badStreak = 0
-		dst := msgBuf.take(fullSize)
-		if err := dec.Materialize(payload, dst); err != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			continue
-		}
-		st := r.sub.stats
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		r.cb(RawMessage{Frame: dst, Format: formatSFM, LittleEndian: little})
-		if st != nil {
-			st.Messages.Inc()
-			st.Bytes.Add(uint64(n))
-			st.Latency.Observe(time.Since(t0))
-		}
-	}
-}
+// close has nothing to return: sparse storage is sized per mask, not
+// pooled.
+func (b *sparseBatch) close() {}

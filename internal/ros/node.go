@@ -243,9 +243,7 @@ func (n *Node) serveSubscriber(conn net.Conn) {
 		svc := n.services[svcName]
 		n.mu.Unlock()
 		if svc == nil {
-			writeHeader(conn, map[string]string{
-				hdrError: fmt.Sprintf("node %s does not serve %q", n.name, svcName),
-			})
+			refuse(conn, fmt.Sprintf("node %s does not serve %q", n.name, svcName)) //nolint:errcheck // reported to the peer
 			conn.Close()
 			return
 		}
@@ -258,9 +256,7 @@ func (n *Node) serveSubscriber(conn net.Conn) {
 	ep := n.pubs[req[hdrTopic]]
 	n.mu.Unlock()
 	if ep == nil {
-		writeHeader(conn, map[string]string{
-			hdrError: fmt.Sprintf("node %s does not publish topic %q", n.name, req[hdrTopic]),
-		})
+		refuse(conn, fmt.Sprintf("node %s does not publish topic %q", n.name, req[hdrTopic])) //nolint:errcheck // reported to the peer
 		conn.Close()
 		return
 	}

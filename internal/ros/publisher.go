@@ -99,6 +99,18 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 	if !sfm && !isSerializableType[T]() {
 		return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
 	}
+	ep, err := newPubEndpoint(n, topic, typeName, md5, sfm, nativeEndianName(core.NativeLittleEndian()), opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Publisher[T]{ep: ep}, nil
+}
+
+// newPubEndpoint builds a topic's endpoint, attaches it to the node and
+// registers it with the master. endianName is the byte order advertised
+// in the connection header: the process's native order, or the recorded
+// order when a raw publisher replays frames.
+func newPubEndpoint(n *Node, topic, typeName, md5 string, sfm bool, endianName string, opts []PubOption) (*pubEndpoint, error) {
 	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout}
 	for _, o := range opts {
 		o(&cfg)
@@ -113,6 +125,7 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 		latch:        cfg.latch,
 		writeTimeout: cfg.writeTimeout,
 		egressShards: cfg.egressShards,
+		endianName:   endianName,
 		stats:        n.metrics.Publisher(topic),
 		conns:        make(map[*pubConn]struct{}),
 		inproc:       make(map[inprocTarget]uint64),
@@ -133,7 +146,7 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 		return nil, err
 	}
 	ep.unregister = unregister
-	return &Publisher[T]{ep: ep}, nil
+	return ep, nil
 }
 
 // Topic returns the advertised topic name.
@@ -246,13 +259,12 @@ func publishSFM[T any](ep *pubEndpoint, m *T) error {
 		prev.drop()
 	}
 
-	// Legacy mode leaves items unstamped so the baseline write loop pays
-	// the old per-connection checksum. At fan-out 1 stamping is skipped
-	// too (unless the hash already exists): memoization saves nothing
-	// with one consumer, and computing the checksum here would serialise
-	// it with the publish loop instead of overlapping it with the next
-	// publish on the connection's writer goroutine.
-	stamp := !legacyEgress.Load() && (len(conns) > 1 || crcs.plainOK)
+	// At fan-out 1 stamping is skipped (unless the hash already exists):
+	// memoization saves nothing with one consumer, and computing the
+	// checksum here would serialise it with the publish loop instead of
+	// overlapping it with the next publish on the connection's writer
+	// goroutine.
+	stamp := len(conns) > 1 || crcs.plainOK
 	for _, c := range conns {
 		if c.shm != nil {
 			// Zero-copy path: the subscriber gets a 24-byte descriptor into
@@ -371,8 +383,8 @@ type frameItem struct {
 	// crc, when crcOK, is the frame checksum precomputed at publish time
 	// — over the payload on plain connections, over tag||payload on
 	// tagged ones — so N-subscriber fan-out hashes the arena once
-	// instead of once per connection. crcOK false (latched items, legacy
-	// mode) makes the write loop compute it.
+	// instead of once per connection. crcOK false (latched items, fan-out
+	// 1) makes the write loop compute it.
 	crc   uint32
 	crcOK bool
 	undo  func()
@@ -427,7 +439,7 @@ type pubEndpoint struct {
 	shmFallbacks      atomic.Uint64
 	shmFallbackWarned atomic.Bool
 	// maskRejectWarned arms the warn-once log for rejected subscriber
-	// field masks (see noteMaskReject).
+	// field masks (see answer.commit).
 	maskRejectWarned atomic.Bool
 
 	mu sync.Mutex
@@ -521,14 +533,8 @@ func (ep *pubEndpoint) deliverLatchedTCP(pc *pubConn) {
 	}
 	pc.latchSeen = l.seq
 	ep.mu.Unlock()
-	if l.mkItem != nil {
-		if it, err := l.mkItem(); err == nil {
-			pc.enqueue(it)
-		}
-		return
-	}
-	if l.frame != nil {
-		pc.enqueue(frameItem{data: l.frame})
+	if it, ok := latchItemFor(l); ok {
+		pc.enqueue(it)
 	}
 }
 
@@ -611,7 +617,7 @@ func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
 	}
 	// Stamping at fan-out 1 is skipped for the same pipelining reason as
 	// the SFM path, unless the hash already exists.
-	stamp := !legacyEgress.Load() && (len(conns) > 1 || crcs.plainOK)
+	stamp := len(conns) > 1 || crcs.plainOK
 	for _, c := range conns {
 		it := frameItem{data: frame}
 		if stamp {
@@ -638,60 +644,40 @@ func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
 
 // acceptConn completes the publisher side of the subscriber handshake.
 func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
-	fail := func(msg string) error {
-		writeHeader(conn, map[string]string{hdrError: msg})
-		return fmt.Errorf("%w: %s", ErrHandshake, msg)
-	}
 	if req[hdrType] != ep.typeName {
-		return fail(fmt.Sprintf("topic %q is %s, subscriber wants %s", ep.topic, ep.typeName, req[hdrType]))
+		return refuse(conn, fmt.Sprintf("topic %q is %s, subscriber wants %s", ep.topic, ep.typeName, req[hdrType]))
 	}
 	if req[hdrMD5] != ep.md5 {
-		return fail(fmt.Sprintf("md5 mismatch on %q: %s vs %s", ep.topic, ep.md5, req[hdrMD5]))
+		return refuse(conn, fmt.Sprintf("md5 mismatch on %q: %s vs %s", ep.topic, ep.md5, req[hdrMD5]))
 	}
-	wantFormat := formatROS1
-	if ep.sfm {
-		wantFormat = formatSFM
-	}
+	wantFormat := formatName(ep.sfm)
 	if req[hdrFormat] != wantFormat {
-		return fail(fmt.Sprintf("format mismatch on %q: publisher %s, subscriber %s",
+		return refuse(conn, fmt.Sprintf("format mismatch on %q: publisher %s, subscriber %s",
 			ep.topic, wantFormat, req[hdrFormat]))
-	}
-	endian := ep.endianName
-	if endian == "" {
-		endian = nativeEndianName(core.NativeLittleEndian())
 	}
 	reply := map[string]string{
 		hdrType:     ep.typeName,
 		hdrMD5:      ep.md5,
 		hdrCallerID: ep.node.name,
 		hdrFormat:   wantFormat,
-		hdrEndian:   endian,
+		hdrEndian:   ep.endianName,
 	}
-	shmFields, sender := ep.negotiateShm(req)
-	for k, v := range shmFields {
-		reply[k] = v
+	a := ep.answer(req)
+	a.appendTo(reply)
+	if err := ep.admit(conn, reply, &a); err != nil {
+		a.abort()
+		return err
 	}
-	// Field-mask negotiation: only SFM topics can slice, and shm wins —
-	// a descriptor-moving link has nothing left to save. A reject names
-	// its reason in the reply and the connection proceeds full-frame.
-	var mask *fieldwire.Mask
-	if list := req[hdrFields]; list != "" && ep.sfm && sender == nil {
-		m, merr := ep.resolveFieldMask(list)
-		if merr != nil {
-			reply[hdrFieldwireReject] = fieldwire.RejectReason(merr)
-			ep.noteMaskReject(merr)
-		} else {
-			reply[hdrFieldwire] = fieldwireV1
-			mask = m
-			if fw := ep.node.fieldwireStats(); fw != nil {
-				fw.MaskedSubscriptions.Inc()
-			}
-		}
-	}
+	a.commit(ep)
+	return nil
+}
+
+// admit sends the reply and attaches the connection to the endpoint —
+// its own write loop, or a shard. Until it returns nil the subscriber
+// may hang up or the endpoint may close, so nothing the answer decided
+// is counted before then, and the caller releases what it reserved.
+func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) error {
 	if err := writeHeader(conn, reply); err != nil {
-		if sender != nil {
-			sender.store.RetirePeer(sender.peer)
-		}
 		return err
 	}
 	conn.SetDeadline(time.Time{})
@@ -701,18 +687,14 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 		writeTimeout: ep.writeTimeout,
 		stats:        ep.stats,
 		egress:       ep.node.metrics.Egress(),
-		shm:          sender,
-		mask:         mask,
+		shm:          a.shm,
+		mask:         a.mask,
 		fw:           ep.node.fieldwireStats(),
 		stop:         make(chan struct{}),
 	}
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
-		conn.Close()
-		if sender != nil {
-			sender.store.RetirePeer(sender.peer)
-		}
 		return errors.New("ros: publisher closed")
 	}
 	// Shard routing: plain TCP connections go to the pool once it is (or
@@ -722,7 +704,7 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 	// enqueue and the pool bring-up all happen inside this critical
 	// section, so a concurrent publish either precedes the join (lastSeq
 	// covers it) or follows the latch in the shard's queue.
-	if sender == nil && mask == nil && ep.egressShards >= 0 &&
+	if a.mode == modePlain && ep.egressShards >= 0 &&
 		(ep.pool != nil || ep.egressShards > 0 || len(ep.conns) >= autoShardThreshold) {
 		if ep.pool == nil {
 			n := ep.egressShards
@@ -770,8 +752,8 @@ func latchItemFor(l *latchedMsg) (frameItem, bool) {
 
 // attachInproc adds a same-process subscriber. The subscriber's wire
 // regime must match the publisher's, as on the TCP path.
-func (ep *pubEndpoint) attachInproc(t inprocTarget) error {
-	if _, subSFM := t.(sfmMarker); subSFM != ep.sfm {
+func (ep *pubEndpoint) attachInproc(t inprocTarget, sfm bool) error {
+	if sfm != ep.sfm {
 		return fmt.Errorf("%w: format mismatch on %q", ErrHandshake, ep.topic)
 	}
 	ep.mu.Lock()
@@ -953,6 +935,17 @@ func (pc *pubConn) enqueue(it frameItem) {
 	}
 }
 
+// connBatch is the write stage of one connection: frames as they were
+// queued (egressBatch), or each message sliced down to its negotiated
+// field mask (sparseBatch). Publish-time fan-out is the same either way
+// — masked and unmasked subscribers share the very same queue items.
+type connBatch interface {
+	add(frameItem)
+	full() bool
+	flush() bool
+	close()
+}
+
 // writeLoop drains the outbound queue in adaptive batches: it blocks
 // for one item, then collects whatever is already queued — never
 // waiting for more, so an unloaded connection keeps per-frame latency —
@@ -961,23 +954,18 @@ func (pc *pubConn) enqueue(it frameItem) {
 // subscriber that stopped draining the socket) drops the connection;
 // the subscriber's retry loop re-establishes the link once it recovers.
 func (pc *pubConn) writeLoop() {
+	var b connBatch
 	if pc.mask != nil {
-		pc.writeLoopSparse()
-		return
+		b = newSparseBatch(pc)
+	} else {
+		b = newEgressBatch(pc)
 	}
-	b := newEgressBatch(pc)
 	defer b.close()
 	for {
 		select {
 		case <-pc.stop:
 			return
 		case it := <-pc.ch:
-			if legacyEgress.Load() {
-				if !pc.writeOneLegacy(it) {
-					return
-				}
-				continue
-			}
 			b.add(it)
 			for !b.full() {
 				select {

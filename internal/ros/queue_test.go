@@ -169,8 +169,7 @@ func TestFrameSizeBounds(t *testing.T) {
 	defer server.Close()
 	errs := make(chan error, 1)
 	go func() {
-		_, _, err := newFrameReader(server).next()
-		errs <- err
+		errs <- newPump(server, maxFrameSize, nil).step(&drainDecoder{})
 	}()
 	// A well-formed header claiming a ~4 GiB payload — past every frame
 	// cap (plain maxFrameSize and the shm-tagged 2 GiB ceiling alike):

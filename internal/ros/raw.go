@@ -1,10 +1,6 @@
 package ros
 
-import (
-	"errors"
-	"net"
-	"time"
-)
+import "errors"
 
 // RawMessage is one frame delivered to a raw subscriber, with the
 // publisher-declared wire regime.
@@ -36,35 +32,9 @@ func SubscribeRaw(n *Node, topic, typeName, md5 string, sfm bool,
 	if len(cfg.fields) > 0 && !sfm {
 		return nil, errors.New("ros: WithFields requires the sfm wire regime")
 	}
-	s := &Subscriber{
-		node:      n,
-		topic:     topic,
-		retry:     cfg.retry.withDefaults(),
-		connState: cfg.connState,
-		noRelay:   cfg.noRelay,
-		fields:    cfg.fields,
-		stats:     n.metrics.Subscriber(topic),
-		conns:     make(map[string]*subConn),
-		inproc:    make(map[*pubEndpoint]struct{}),
-	}
-	rt := &rawRuntime{sub: s, cb: cb, typeName: typeName, md5: md5, sfm: sfm}
-	if sfm {
-		s.rt = &rawSFMRuntime{rawRuntime: rt}
-	} else {
-		s.rt = rt
-	}
-	if err := n.registerSub(s); err != nil {
-		return nil, err
-	}
-	cancel, err := n.master.WatchPublishers(topic, typeName, md5, func(pubs []PublisherInfo) {
-		s.onPublishers(pubs, TransportTCP)
-	})
-	if err != nil {
-		n.unregisterSub(s)
-		return nil, err
-	}
-	s.cancelWatch = cancel
-	return s, nil
+	cfg.transport, cfg.queueSize = TransportTCP, 0
+	s := newSubscriber(n, topic, typeName, md5, sfm, &cfg)
+	return s.start(nil, rawDecoders(s, cb))
 }
 
 // RawPublisher publishes pre-encoded frames under an explicit topic
@@ -79,37 +49,10 @@ type RawPublisher struct {
 // frame-level publisher.
 func AdvertiseRaw(n *Node, topic, typeName, md5 string, sfm, littleEndian bool,
 	opts ...PubOption) (*RawPublisher, error) {
-	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ep := &pubEndpoint{
-		node:         n,
-		topic:        topic,
-		typeName:     typeName,
-		md5:          md5,
-		sfm:          sfm,
-		queueSize:    cfg.queueSize,
-		latch:        cfg.latch,
-		writeTimeout: cfg.writeTimeout,
-		egressShards: cfg.egressShards,
-		endianName:   nativeEndianName(littleEndian),
-		stats:        n.metrics.Publisher(topic),
-		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[inprocTarget]uint64),
-	}
-	if err := n.registerPub(topic, ep); err != nil {
-		return nil, err
-	}
-	unregister, err := n.master.RegisterPublisher(topic, PublisherInfo{
-		NodeName: n.name, Addr: n.addr, TypeName: typeName, MD5: md5,
-		Relay: cfg.relay, direct: ep,
-	})
+	ep, err := newPubEndpoint(n, topic, typeName, md5, sfm, nativeEndianName(littleEndian), opts)
 	if err != nil {
-		n.unregisterPub(topic)
 		return nil, err
 	}
-	ep.unregister = unregister
 	return &RawPublisher{ep: ep}, nil
 }
 
@@ -140,72 +83,20 @@ func (p *RawPublisher) PublishFrame(frame []byte) error {
 	return nil
 }
 
-// rawRuntime pumps frames to the callback without decoding them.
-type rawRuntime struct {
-	sub      *Subscriber
-	cb       func(RawMessage)
-	typeName string
-	md5      string
-	sfm      bool
-}
-
-func (r *rawRuntime) topicMeta() (string, string) { return r.typeName, r.md5 }
-
-func (r *rawRuntime) runConn(conn net.Conn, pubHeader map[string]string) {
-	format := pubHeader[hdrFormat]
-	little := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	var scratch scratchBuf
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// The callback runs synchronously, so frames can be handed out
-		// straight from the batch buffer (the scratch contract is already
-		// "valid during the callback").
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return
-			}
-		}
-		if !fr.verify(buf, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		st := r.sub.stats
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		r.cb(RawMessage{Frame: buf, Format: format, LittleEndian: little})
-		if st != nil {
-			st.Messages.Inc()
-			st.Bytes.Add(uint64(n))
-			st.Latency.Observe(time.Since(t0))
+// rawDecoders pumps frames to the callback without decoding them, so a
+// raw subscription has no use for shared memory and never offers it. On
+// SFM topics it can take sparse frames (rostopic echo/bw -fields): each
+// masked payload is materialized into a scratch full-size image and
+// delivered as a normal SFM frame.
+func rawDecoders(s *Subscriber, cb func(RawMessage)) decoderSet {
+	link := func(reply map[string]string) *rawConn {
+		return &rawConn{sub: s, cb: cb, format: reply[hdrFormat], little: reply[hdrEndian] != endianBig}
+	}
+	d := decoderSet{plain: func(reply map[string]string) frameDecoder { return link(reply) }}
+	if s.sfm {
+		d.sparse = func(reply map[string]string, sc *subConn) frameDecoder {
+			return &sparseDecoder{sink: link(reply), link: sc, fw: s.node.fieldwireStats()}
 		}
 	}
+	return d
 }
-
-func (r *rawRuntime) deliverFrame(frame []byte) {
-	r.cb(RawMessage{Frame: frame, Format: formatROS1, LittleEndian: true})
-}
-
-func (r *rawRuntime) deliverShared(m any, release func()) {
-	// Raw subscriptions negotiate TCP only; guard the release contract.
-	defer release()
-}
-
-// rawSFMRuntime is rawRuntime tagged to negotiate the SFM regime.
-type rawSFMRuntime struct {
-	*rawRuntime
-}
-
-func (*rawSFMRuntime) sfmRuntimeMarker() {}

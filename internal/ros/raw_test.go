@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/obs"
 	"rossf/internal/ros"
 )
 
@@ -92,6 +93,59 @@ func TestSubscribeRawSFM(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no raw SFM frame")
+	}
+}
+
+// TestSubscribeRawSFMNextToShmPublisher is the regression test for raw
+// SFM subscriptions (rostopic echo/bw/hz, rosrelay, rosbag record)
+// offering a shared-memory transport they have no decoder for: next to
+// a shm-capable publisher the link used to negotiate shm, burn a peer
+// lease, close, count an old_build fallback and a reconnect, and wait
+// out a backoff before redialing TCP. The offer now derives from the
+// runtime's decoder set, so the first handshake is already plain.
+func TestSubscribeRawSFMNextToShmPublisher(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newShmStore(t, reg)
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	subNode := newNodeOpts(t, "tool", ros.WithMaster(m), ros.WithMetrics(reg))
+
+	pub, err := ros.Advertise[testImageSF](pubNode, "raw/shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int, 1)
+	var img testImageSF
+	_, err = ros.SubscribeRaw(subNode, "raw/shm", img.ROSMessageType(), img.ROSMD5Sum(), true,
+		func(rm ros.RawMessage) { got <- len(rm.Frame) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "raw sfm attach", func() bool { return pub.NumSubscribers() == 1 })
+
+	src, _ := core.NewWithCapacity[testImageSF](4096)
+	src.Data.MustResize(100)
+	pub.Publish(src)
+	core.Release(src)
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no raw SFM frame")
+	}
+
+	snap := reg.Snapshot()
+	if f := snap.Shm.Fallbacks; f != 0 {
+		t.Errorf("shm fallbacks = %d (by reason %+v), want 0", f, snap.Shm.FallbackReasons)
+	}
+	if r := snap.Subscribers["raw/shm"].Reconnects; r != 0 {
+		t.Errorf("reconnects = %d, want 0", r)
+	}
+	// No peer lease was ever taken: the first one handed out now is slot
+	// 0 in its first generation.
+	if peer, gen, err := store.AcquirePeer(1); err != nil || peer != 0 || gen != 1 {
+		t.Errorf("AcquirePeer = (%d, gen %d, %v), want the untouched (0, gen 1)", peer, gen, err)
+	} else {
+		store.RetirePeer(peer)
 	}
 }
 

@@ -65,7 +65,6 @@ type serviceEndpoint struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
 }
 
 // AdvertiseService registers a handler under a service name — the
@@ -205,22 +204,15 @@ func writeStatusFrame(conn net.Conn, status byte, payload []byte) error {
 
 // serveCall runs the per-connection request loop.
 func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error {
-	fail := func(msg string) error {
-		writeHeader(conn, map[string]string{hdrError: msg})
-		return fmt.Errorf("%w: %s", ErrHandshake, msg)
-	}
 	if req[hdrReqType] != ep.reqType || req[hdrRspType] != ep.respType {
-		return fail(fmt.Sprintf("service %q is %s->%s", ep.name, ep.reqType, ep.respType))
+		return refuse(conn, fmt.Sprintf("service %q is %s->%s", ep.name, ep.reqType, ep.respType))
 	}
 	if req[hdrMD5] != ep.md5 {
-		return fail(fmt.Sprintf("md5 mismatch on service %q", ep.name))
+		return refuse(conn, fmt.Sprintf("md5 mismatch on service %q", ep.name))
 	}
-	wantFormat := formatROS1
-	if ep.sfm {
-		wantFormat = formatSFM
-	}
+	wantFormat := formatName(ep.sfm)
 	if req[hdrFormat] != wantFormat {
-		return fail(fmt.Sprintf("format mismatch on service %q", ep.name))
+		return refuse(conn, fmt.Sprintf("format mismatch on service %q", ep.name))
 	}
 	err := writeHeader(conn, map[string]string{
 		hdrCallerID: ep.node.name,
@@ -247,68 +239,64 @@ func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error
 		ep.mu.Unlock()
 	}()
 
-	fr := newFrameReader(conn)
-	defer fr.release()
-	var scratch scratchBuf
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return nil // client hung up
-		}
-		// Handlers consume the request before the next reader call
-		// (deserialize or copy-to-arena), so in-place batch slices are
-		// safe; oversized requests and the legacy path copy via scratch.
-		frame, ok, err := fr.payload(n)
-		if err != nil {
-			return nil
-		}
-		if !ok {
-			frame = scratch.take(n)
-			if err := fr.readFull(frame); err != nil {
-				return nil
-			}
-		}
-		var respFrame []byte
-		var release func()
-		var herr error
-		var t0 time.Time
-		if ep.stats != nil {
-			t0 = time.Now()
-		}
-		if !fr.verify(frame, crc) {
-			// The request arrived damaged; tell the caller rather than
-			// handing garbage to the handler. The connection stays up —
-			// the next header is re-validated by magic.
-			herr = errors.New("corrupt request frame")
-		} else {
-			respFrame, release, herr = ep.handle(frame, srcLittle)
-		}
-		if st := ep.stats; st != nil {
-			st.Calls.Inc()
-			if herr != nil {
-				st.Errors.Inc()
-			}
-			st.Latency.Observe(time.Since(t0))
-		}
-		// A wedged or vanished caller must not pin this goroutine in a
-		// blocked Write forever.
-		conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-		if herr != nil {
-			if err := writeStatusFrame(conn, 0, []byte(herr.Error())); err != nil {
-				return nil
-			}
-			conn.SetWriteDeadline(zeroTime())
-			continue
-		}
-		werr := writeStatusFrame(conn, 1, respFrame)
-		if release != nil {
-			release()
-		}
-		if werr != nil {
-			return nil
-		}
-		conn.SetWriteDeadline(zeroTime())
+	newPump(conn, maxFrameSize, nil).run(&serviceConn{ep: ep, conn: conn, srcLittle: srcLittle}) //nolint:errcheck // client hung up
+	return nil
+}
+
+// serviceConn decodes one caller's request stream: each frame is a
+// request, answered on the same connection before the next is read.
+type serviceConn struct {
+	ep        *serviceEndpoint
+	conn      net.Conn
+	srcLittle bool
+}
+
+func (c *serviceConn) decode(rx *pump, n int, crc uint32) (bool, error) {
+	// Handlers consume the request before returning (deserialize or
+	// copy-to-arena), so an in-place batch slice is safe.
+	frame, ok, err := rx.frame(n, crc)
+	if err != nil {
+		return true, err
 	}
+	ep := c.ep
+	var respFrame []byte
+	var release func()
+	var herr error
+	var t0 time.Time
+	if ep.stats != nil {
+		t0 = time.Now()
+	}
+	if !ok {
+		// The request arrived damaged; tell the caller rather than
+		// handing garbage to the handler. The connection stays up — the
+		// next header is re-validated by magic.
+		herr = errors.New("corrupt request frame")
+	} else {
+		respFrame, release, herr = ep.handle(frame, c.srcLittle)
+	}
+	if st := ep.stats; st != nil {
+		st.Calls.Inc()
+		if herr != nil {
+			st.Errors.Inc()
+		}
+		st.Latency.Observe(time.Since(t0))
+	}
+	// A wedged or vanished caller must not pin this goroutine in a
+	// blocked Write forever.
+	c.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
+	status := byte(1)
+	if herr != nil {
+		status, respFrame = 0, []byte(herr.Error())
+	}
+	werr := writeStatusFrame(c.conn, status, respFrame)
+	if release != nil {
+		release()
+	}
+	if werr != nil {
+		return true, werr
+	}
+	c.conn.SetWriteDeadline(time.Time{})
+	return true, nil
 }
 
 func (ep *serviceEndpoint) close() {
@@ -331,7 +319,6 @@ func (ep *serviceEndpoint) close() {
 		ep.unregister()
 	}
 	ep.node.unregisterService(ep.name)
-	ep.wg.Wait()
 }
 
 // ServiceClient is a persistent connection to one service (the ROS
@@ -340,12 +327,15 @@ func (ep *serviceEndpoint) close() {
 type ServiceClient[Req, Resp any] struct {
 	name    string
 	conn    net.Conn
-	fr      *frameReader
+	rx      *pump
 	sfm     bool
 	layout  *core.Layout // response layout for endian conversion (SFM)
 	little  bool         // server byte order
 	timeout time.Duration
-	scratch scratchBuf
+
+	// status and resp carry one Call's reply between Call and decode.
+	status [1]byte
+	resp   *Resp
 }
 
 // SetCallTimeout bounds each subsequent Call: the whole exchange
@@ -381,39 +371,24 @@ func NewServiceClient[Req, Resp any](n *Node, name string) (*ServiceClient[Req, 
 	if err != nil {
 		return nil, err
 	}
-	format := formatROS1
-	if sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	err = writeHeader(conn, map[string]string{
+	reply, err := exchange(conn, map[string]string{
 		hdrService:  name,
 		hdrReqType:  reqType,
 		hdrRspType:  respType,
 		hdrMD5:      reqMD5 + respMD5,
 		hdrCallerID: n.name,
-		hdrFormat:   format,
+		hdrFormat:   formatName(sfm),
 		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
 	})
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	reply, err := readHeader(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if msg, bad := reply[hdrError]; bad {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %s", ErrHandshake, msg)
-	}
-	conn.SetDeadline(zeroTime())
 
 	c := &ServiceClient[Req, Resp]{
 		name:   name,
 		conn:   conn,
-		fr:     newFrameReader(conn),
+		rx:     newPump(conn, maxFrameSize, nil),
 		sfm:    sfm,
 		little: reply[hdrEndian] != endianBig,
 	}
@@ -431,7 +406,7 @@ func NewServiceClient[Req, Resp any](n *Node, name string) (*ServiceClient[Req, 
 // ingress pool.
 func (c *ServiceClient[Req, Resp]) Close() error {
 	err := c.conn.Close()
-	c.fr.release()
+	c.rx.release()
 	return err
 }
 
@@ -441,7 +416,7 @@ func (c *ServiceClient[Req, Resp]) Close() error {
 func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer c.conn.SetDeadline(zeroTime())
+		defer c.conn.SetDeadline(time.Time{})
 	}
 	// Send the request in the appropriate regime.
 	if c.sfm {
@@ -467,66 +442,57 @@ func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 	}
 
 	// Status byte, then the response or error frame — all through the
-	// shared ingress reader, so the server's single vectored
-	// status+frame write is drained by one read wakeup instead of the
-	// old three ReadFull syscalls (status, header, body).
-	var status [1]byte
-	if err := c.fr.readFull(status[:]); err != nil {
+	// shared pump, so the server's single vectored status+frame write is
+	// drained by one read wakeup instead of three ReadFull syscalls
+	// (status, header, body).
+	c.resp = nil
+	if err := c.rx.ir.ReadFull(c.status[:]); err != nil {
 		return nil, err
 	}
-	n, crc, err := c.fr.next()
-	if err != nil {
+	if err := c.rx.step(c); err != nil {
 		return nil, err
 	}
-	if status[0] == 0 {
-		msg := make([]byte, n)
-		if err := c.fr.readFull(msg); err != nil {
-			return nil, err
-		}
-		if !c.fr.verify(msg, crc) {
-			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
-		}
-		return nil, &ServiceError{Service: c.name, Msg: string(msg)}
-	}
-
-	if c.sfm {
-		buf := core.Default().GetBuffer(n)
-		if err := c.fr.readFull(buf.Bytes()[:n]); err != nil {
-			buf.Discard()
-			return nil, err
-		}
-		// Verify before endianness conversion mutates the bytes and
-		// before the buffer is adopted — a corrupt frame must never
-		// become a live message.
-		if !c.fr.verify(buf.Bytes()[:n], crc) {
-			buf.Discard()
-			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
-		}
-		if err := core.ConvertEndianness(buf.Bytes()[:n], c.layout, c.little); err != nil {
-			buf.Discard()
-			return nil, err
-		}
-		return core.Adopt[Resp](buf, n)
-	}
-	frame, ok, err := c.fr.payload(n)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		frame = c.scratch.take(n)
-		if err := c.fr.readFull(frame); err != nil {
-			return nil, err
-		}
-	}
-	if !c.fr.verify(frame, crc) {
+	if c.resp == nil {
 		return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
 	}
-	resp := new(Resp)
-	rs, _ := any(resp).(Serializable)
-	if err := rs.DeserializeROS(wire.NewReader(frame)); err != nil {
-		return nil, err
+	return c.resp, nil
+}
+
+// decode receives one reply frame: the handler's error string, a
+// serialized response, or — for serialization-free types — an arena
+// image read straight into a fresh buffer.
+func (c *ServiceClient[Req, Resp]) decode(rx *pump, n int, crc uint32) (bool, error) {
+	if c.status[0] == 0 || !c.sfm {
+		frame, ok, err := rx.frame(n, crc)
+		if !ok || err != nil {
+			return ok, err
+		}
+		if c.status[0] == 0 {
+			return true, &ServiceError{Service: c.name, Msg: string(frame)}
+		}
+		resp := new(Resp)
+		rs, _ := any(resp).(Serializable)
+		if err := rs.DeserializeROS(wire.NewReader(frame)); err != nil {
+			return true, err
+		}
+		c.resp = resp
+		return true, nil
 	}
-	return resp, nil
+	buf := core.Default().GetBuffer(n)
+	// Verified before endianness conversion mutates the bytes and before
+	// the buffer is adopted — a corrupt frame must never become a live
+	// message.
+	ok, err := rx.into(buf.Bytes()[:n], nil, crc)
+	if !ok || err != nil {
+		buf.Discard()
+		return ok, err
+	}
+	if err := core.ConvertEndianness(buf.Bytes()[:n], c.layout, c.little); err != nil {
+		buf.Discard()
+		return true, err
+	}
+	c.resp, err = core.Adopt[Resp](buf, n)
+	return true, err
 }
 
 // CallService is the one-shot convenience: connect, call once,

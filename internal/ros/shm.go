@@ -1,10 +1,6 @@
 package ros
 
 import (
-	"fmt"
-	"net"
-	"os"
-	"strconv"
 	"time"
 
 	"rossf/internal/core"
@@ -13,45 +9,10 @@ import (
 	"rossf/internal/wire"
 )
 
-// Shared-memory transport negotiation and framing.
-//
-// The subscriber's connection header may carry a transport offer; the
-// publisher answers with its selection. Both sides are pure header
-// extension — an old publisher ignores the offer, an old subscriber
-// never sees a selection, and either way the connection converges on
-// plain TCP framing (fuzzed in internal/wire).
-//
-//	subscriber → publisher: transports=shm,tcp  pid=<pid>  bootid=<id>
-//	publisher → subscriber: transport=shm  shmprefix=<path>
-//	                        shmpeer=<id>   shmlease=<ms>  shmgen=<gen>
-//
-// On a connection that negotiated shm, every frame payload is prefixed
-// with a one-byte tag: tagDescriptor frames carry a 24-byte shm
-// descriptor instead of the message bytes (the zero-copy path), and
-// tagInline frames carry the message bytes themselves — the per-message
-// fallback for messages whose arena is not in a shared slot (heap-
-// backed, oversized). The frame CRC covers tag plus body.
-const (
-	hdrTransports = "transports" // subscriber → publisher offer
-	hdrPID        = "pid"
-	hdrBootID     = "bootid"
-	hdrTransport  = "transport" // publisher → subscriber selection
-	hdrShmPrefix  = "shmprefix"
-	hdrShmPeer    = "shmpeer"
-	hdrShmLeaseMS = "shmlease"
-	hdrShmGen     = "shmgen"
-)
-
-const (
-	tagInline     byte = 0x01
-	tagDescriptor byte = 0x02
-)
-
-// shmRuntime marks a subscriber runtime able to pump a shm-negotiated
-// connection (only the SFM runtime is).
-type shmRuntime interface {
-	runConnShm(conn net.Conn, mp *shm.Mapper)
-}
+// Shared-memory transport: the publisher's per-connection grant, the
+// descriptor queue items it mints, and the subscriber-side mapper. Which
+// connections get it is decided in capability.go; how its tagged frames
+// are consumed, in pump.go.
 
 // shmSender is a pubConn's grant to publish into shared memory: the
 // node's store plus the peer lease (id and generation) the subscriber
@@ -66,59 +27,6 @@ type shmSender struct {
 // metrics are disabled. Callers must nil-check: the struct pointer
 // itself (unlike the Counter/Gauge methods) is not nil-safe.
 func (n *Node) shmStats() *obs.ShmStats { return n.metrics.Shm() }
-
-// writeTaggedFrame sends one checked frame whose payload is tag||body,
-// without materializing the concatenation: header, tag, and body go out
-// as a single vectored write (the tag rides contiguously with the
-// header span) and the body is written from its backing storage (the
-// arena, for inline SFM messages).
-func writeTaggedFrame(conn net.Conn, tag byte, body []byte) error {
-	t := [1]byte{tag}
-	return wire.WriteTaggedFrame(conn, tag, body, wire.Checksum2(t[:], body))
-}
-
-// negotiateShm runs the publisher side of transport selection: shm is
-// chosen only for an SFM topic, on a node with a store, for a
-// subscriber that offered shm from the same boot (same machine), and
-// only while a peer lease slot is free. Every other combination — and
-// any failure — selects TCP. It returns the header fields to merge into
-// the handshake reply and, for shm, the sender granting this
-// connection's pubConn descriptor access.
-func (ep *pubEndpoint) negotiateShm(req map[string]string) (map[string]string, *shmSender) {
-	store := ep.node.shmStore
-	shmOK := ep.sfm && store != nil && req[hdrBootID] == shm.BootID()
-	if wire.NegotiateTransport(req[hdrTransports], shmOK) != wire.TransportNameShm {
-		// A subscriber that offered shm against a shm-capable endpoint
-		// but presented a different boot id lives on another machine (or
-		// across a reboot): a by-design TCP fallback, but counted so the
-		// fallback total always has an explanation.
-		if ep.sfm && store != nil && req[hdrBootID] != shm.BootID() &&
-			wire.OffersTransport(req[hdrTransports], wire.TransportNameShm) {
-			if st := ep.node.shmStats(); st != nil {
-				st.Fallbacks.Inc()
-				st.FallbackRemotePeer.Inc()
-			}
-		}
-		return map[string]string{hdrTransport: wire.TransportNameTCP}, nil
-	}
-	pid, _ := strconv.ParseUint(req[hdrPID], 10, 32)
-	peer, gen, err := store.AcquirePeer(uint32(pid))
-	if err != nil {
-		// Peer table full: this subscriber runs over TCP.
-		if st := ep.node.shmStats(); st != nil {
-			st.Fallbacks.Inc()
-			st.FallbackPeerTableFull.Inc()
-		}
-		return map[string]string{hdrTransport: wire.TransportNameTCP}, nil
-	}
-	return map[string]string{
-		hdrTransport:  wire.TransportNameShm,
-		hdrShmPrefix:  store.Prefix(),
-		hdrShmPeer:    strconv.Itoa(peer),
-		hdrShmLeaseMS: strconv.FormatInt(store.LeaseTimeout().Milliseconds(), 10),
-		hdrShmGen:     strconv.FormatUint(uint64(gen), 10),
-	}, &shmSender{store: store, peer: peer, gen: gen}
-}
 
 // shmOutcome classifies one attempt to ship a message as a descriptor,
 // so the publish path can count (and warn about) the right fallback
@@ -163,43 +71,23 @@ func shmItemFor[T any](c *pubConn, m *T) (it frameItem, promoted bool, outcome s
 	// Descriptors are per-connection (24 bytes), so there is nothing to
 	// share across the fan-out — stamping here just moves the trivial
 	// hash off the write loop.
-	if !legacyEgress.Load() {
-		t := [1]byte{tagDescriptor}
-		it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
-	}
+	t := [1]byte{tagDescriptor}
+	it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
 	return it, promoted, shmShared
 }
 
-// newShmReceiver stands up the subscriber side from the publisher's
-// reply: a mapper over the publisher's segments with the heartbeat that
-// keeps this peer's lease alive. Any failure here is a negotiation
-// failure — the caller falls back to a TCP redial.
-func newShmReceiver(reply map[string]string, stats *obs.ShmStats) (*shm.Mapper, error) {
-	peer, err := strconv.Atoi(reply[hdrShmPeer])
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad shm peer %q", ErrHandshake, reply[hdrShmPeer])
-	}
-	prefix := reply[hdrShmPrefix]
-	if prefix == "" {
-		return nil, fmt.Errorf("%w: missing shm prefix", ErrHandshake)
-	}
-	leaseMS, err := strconv.ParseInt(reply[hdrShmLeaseMS], 10, 64)
-	if err != nil || leaseMS <= 0 {
-		leaseMS = shm.DefaultLeaseTimeout.Milliseconds()
-	}
-	// A missing generation (publisher predating lease generations) parses
-	// to 0, which disables the mapper's lease validation.
-	gen64, genErr := strconv.ParseUint(reply[hdrShmGen], 10, 32)
-	if genErr != nil {
-		gen64 = 0
-	}
-	m, err := shm.NewMapper(prefix, peer, uint32(gen64), stats)
+// newShmReceiver stands up the subscriber side of a granted peer lease:
+// a mapper over the publisher's segments with the heartbeat that keeps
+// the lease alive. Any failure here is a negotiation failure — the
+// caller falls back to a TCP redial.
+func newShmReceiver(prefix string, peer int, gen uint32, lease time.Duration, stats *obs.ShmStats) (*shm.Mapper, error) {
+	m, err := shm.NewMapper(prefix, peer, gen, stats)
 	if err != nil {
 		return nil, err
 	}
 	// Heartbeat at a fifth of the lease: several beats fit inside one
 	// timeout, so a single missed tick never loses the lease.
-	interval := time.Duration(leaseMS) * time.Millisecond / 5
+	interval := lease / 5
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
@@ -209,98 +97,3 @@ func newShmReceiver(reply map[string]string, stats *obs.ShmStats) (*shm.Mapper, 
 	}
 	return m, nil
 }
-
-// runConnShm is the shm frame pump: tagged frames, descriptors resolved
-// through the mapper, inline fallbacks adopted exactly like the TCP
-// path. Endianness conversion is skipped by construction — negotiation
-// only picks shm for same-boot peers.
-func (r *sfmRuntime[T]) runConnShm(conn net.Conn, mp *shm.Mapper) {
-	fr := newTaggedFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		if n < 1 {
-			r.sub.noteCorrupt()
-			continue
-		}
-		var tag [1]byte
-		if err := fr.readFull(tag[:]); err != nil {
-			return
-		}
-		body := n - 1
-		switch tag[0] {
-		case tagDescriptor:
-			var db [shm.DescriptorSize]byte
-			if body != shm.DescriptorSize {
-				if fr.discard(body) != nil {
-					return
-				}
-				r.sub.noteCorrupt()
-				continue
-			}
-			if err := fr.readFull(db[:]); err != nil {
-				return
-			}
-			if wire.Checksum2(tag[:], db[:]) != crc {
-				r.sub.noteCorrupt()
-				continue
-			}
-			d, err := shm.ParseDescriptor(db[:])
-			if err != nil {
-				r.sub.noteCorrupt()
-				continue
-			}
-			mem, release, err := mp.Resolve(d)
-			if err != nil {
-				// A stale or unmappable descriptor drops this message only;
-				// the stream stays healthy.
-				if r.sub.stats != nil {
-					r.sub.stats.Stale.Inc()
-				}
-				continue
-			}
-			buf, err := r.mgr.NewExternalBuffer(mem, release)
-			if err != nil {
-				release()
-				continue
-			}
-			m, err := core.Adopt[T](buf, len(mem))
-			if err != nil {
-				buf.Discard()
-				continue
-			}
-			r.deliverAdopted(m, len(mem))
-		case tagInline:
-			buf := r.mgr.GetBuffer(body)
-			if err := fr.readFull(buf.Bytes()[:body]); err != nil {
-				buf.Discard()
-				return
-			}
-			if wire.Checksum2(tag[:], buf.Bytes()[:body]) != crc {
-				r.sub.noteCorrupt()
-				buf.Discard()
-				continue
-			}
-			m, err := core.Adopt[T](buf, body)
-			if err != nil {
-				buf.Discard()
-				continue
-			}
-			r.deliverAdopted(m, body)
-		default:
-			// Unknown tag from a future build: skip the frame, keep the
-			// stream.
-			if fr.discard(body) != nil {
-				return
-			}
-			r.sub.noteCorrupt()
-		}
-	}
-}
-
-// pidString is this process's pid for the handshake offer.
-func pidString() string { return strconv.Itoa(os.Getpid()) }

@@ -1,6 +1,7 @@
 package ros
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -204,11 +205,15 @@ func WithoutRelay() SubOption {
 // Subscriber is a topic subscription. Create with Subscribe, release
 // with Close.
 type Subscriber struct {
-	node  *Node
-	topic string
+	node     *Node
+	topic    string
+	typeName string
+	md5      string
+	sfm      bool // the topic's wire regime, fixed by the message type
 
 	cancelWatch func()
-	rt          subRuntime
+	local       inprocTarget   // same-process delivery; nil on raw subscriptions (TCP only)
+	decoders    decoderSet     // what the runtime can pump; the handshake offer derives from it
 	queue       *dispatchQueue // nil = synchronous callbacks
 	retry       RetryPolicy
 	transport   TransportMode
@@ -240,34 +245,6 @@ func (s *Subscriber) CorruptFrames() uint64 { return s.corrupt.Load() }
 // ResyncedBytes reports how many stream bytes were discarded while
 // hunting for a frame boundary after damage.
 func (s *Subscriber) ResyncedBytes() uint64 { return s.resyncs.Load() }
-
-// noteStreamDamage folds a connection's still-unfolded resync bytes
-// into the subscription total when its frame pump exits (per-frame
-// folds via noteResync keep the counter live mid-stream), and returns
-// the pump's batch buffer to the ingress pool for the next connection.
-func (s *Subscriber) noteStreamDamage(fr *frameReader) {
-	s.noteResync(fr)
-	fr.release()
-}
-
-// noteResync folds any bytes the reader skipped resynchronizing since
-// the last fold. Pumps call it after every frame — almost always a
-// zero delta and no atomic touched — so introspection sees stream
-// damage while the connection is still alive.
-func (s *Subscriber) noteResync(fr *frameReader) {
-	if d := fr.skippedDelta(); d != 0 {
-		s.resyncs.Add(d)
-	}
-}
-
-// noteCorrupt records one frame rejected by an integrity check, both in
-// the subscription's own counter and the observability registry.
-func (s *Subscriber) noteCorrupt() {
-	s.corrupt.Add(1)
-	if s.stats != nil {
-		s.stats.Corrupt.Inc()
-	}
-}
 
 // notifyState reports a link transition to the WithConnState callback,
 // if any.
@@ -374,13 +351,26 @@ func (s *Subscriber) dispatch(run, drop func()) {
 	s.queue.enqueue(dispatchItem{run: run, drop: drop})
 }
 
-// subRuntime is the type-specific receive machinery behind a
-// Subscriber.
-type subRuntime interface {
-	inprocTarget
-	// runConn consumes frames from an established publisher connection
-	// until it fails or is closed.
-	runConn(conn net.Conn, pubHeader map[string]string)
+// decoderSet holds a runtime's frame-decoder constructors, one per link
+// mode, each building the decoder for one established connection from
+// the publisher's reply header. A nil constructor means the runtime has
+// no decoder for that mode, and its subscriptions never offer the
+// capability that would negotiate it.
+type decoderSet struct {
+	plain  func(reply map[string]string) frameDecoder
+	shm    func(mp *shm.Mapper) frameDecoder
+	sparse func(reply map[string]string, link *subConn) frameDecoder
+}
+
+func (d decoderSet) caps() capability {
+	var c capability
+	if d.shm != nil {
+		c |= capShm
+	}
+	if d.sparse != nil {
+		c |= capFields
+	}
+	return c
 }
 
 // Subscribe registers a callback for every message arriving on topic —
@@ -406,10 +396,35 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 	for _, o := range opts {
 		o(&cfg)
 	}
+	switch {
+	case isSFMType[T]():
+		layout, err := core.LayoutOf[T]()
+		if err != nil {
+			return nil, fmt.Errorf("ros: subscribe %s: %w", typeName, err)
+		}
+		s := newSubscriber(n, topic, typeName, md5, true, &cfg)
+		rt := &sfmRuntime[T]{sub: s, cb: cb, layout: layout, mgr: cfg.manager}
+		return s.start(rt, rt.decoders())
+	case isSerializableType[T]():
+		if len(cfg.fields) > 0 {
+			return nil, fmt.Errorf("ros: subscribe %s: WithFields requires a serialization-free message type", typeName)
+		}
+		s := newSubscriber(n, topic, typeName, md5, false, &cfg)
+		rt := &ros1Runtime[T]{sub: s, cb: cb}
+		return s.start(rt, rt.decoders())
+	}
+	return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
+}
 
+// newSubscriber builds the type-independent half of a subscription; the
+// caller builds the type-specific runtime around it and calls start.
+func newSubscriber(n *Node, topic, typeName, md5 string, sfm bool, cfg *subConfig) *Subscriber {
 	s := &Subscriber{
 		node:      n,
 		topic:     topic,
+		typeName:  typeName,
+		md5:       md5,
+		sfm:       sfm,
 		retry:     cfg.retry.withDefaults(),
 		transport: cfg.transport,
 		connState: cfg.connState,
@@ -422,31 +437,21 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 	if cfg.queueSize > 0 {
 		s.queue = newDispatchQueue(cfg.queueSize)
 	}
-	switch {
-	case isSFMType[T]():
-		layout, err := core.LayoutOf[T]()
-		if err != nil {
-			return nil, fmt.Errorf("ros: subscribe %s: %w", typeName, err)
-		}
-		s.rt = &sfmRuntime[T]{sub: s, cb: cb, layout: layout, mgr: cfg.manager,
-			typeName: typeName, md5: md5}
-	case isSerializableType[T]():
-		if len(cfg.fields) > 0 {
-			return nil, fmt.Errorf("ros: subscribe %s: WithFields requires a serialization-free message type", typeName)
-		}
-		s.rt = &ros1Runtime[T]{sub: s, cb: cb, typeName: typeName, md5: md5}
-	default:
-		return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
-	}
+	return s
+}
 
-	if err := n.registerSub(s); err != nil {
+// start attaches the runtime — its same-process target (nil when the
+// subscription is TCP only) and its decoder set — registers the
+// subscription with its node, and begins reconciling it against the
+// master's publisher list.
+func (s *Subscriber) start(local inprocTarget, decoders decoderSet) (*Subscriber, error) {
+	s.local, s.decoders = local, decoders
+	if err := s.node.registerSub(s); err != nil {
 		return nil, err
 	}
-	cancel, err := n.master.WatchPublishers(topic, typeName, md5, func(pubs []PublisherInfo) {
-		s.onPublishers(pubs, cfg.transport)
-	})
+	cancel, err := s.node.master.WatchPublishers(s.topic, s.typeName, s.md5, s.onPublishers)
 	if err != nil {
-		n.unregisterSub(s)
+		s.node.unregisterSub(s)
 		return nil, err
 	}
 	s.cancelWatch = cancel
@@ -466,12 +471,13 @@ func (s *Subscriber) NumPublishers() int {
 // onPublishers reconciles the attachment set with the master's current
 // publisher list. It must not block (master callback contract), so new
 // dials happen on fresh goroutines.
-func (s *Subscriber) onPublishers(pubs []PublisherInfo, mode TransportMode) {
+func (s *Subscriber) onPublishers(pubs []PublisherInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
+	mode := s.transport
 
 	// Relay delegation: when relay-tier endpoints exist and this
 	// subscription may use TCP and has not opted out, attach to exactly
@@ -531,14 +537,14 @@ func (s *Subscriber) onPublishers(pubs []PublisherInfo, mode TransportMode) {
 		if _, ok := s.inproc[ep]; ok {
 			continue
 		}
-		if err := ep.attachInproc(s.rt); err == nil {
+		if err := ep.attachInproc(s.local, s.sfm); err == nil {
 			s.inproc[ep] = struct{}{}
 		}
 	}
 	// Detach vanished ones.
 	for ep := range s.inproc {
 		if !wantInproc[ep] {
-			ep.detachInproc(s.rt)
+			ep.detachInproc(s.local)
 			delete(s.inproc, ep)
 		}
 	}
@@ -548,7 +554,7 @@ func (s *Subscriber) onPublishers(pubs []PublisherInfo, mode TransportMode) {
 		if _, ok := s.conns[addr]; ok {
 			continue
 		}
-		sc := newSubConn(addr)
+		sc := newSubConn()
 		s.conns[addr] = sc
 		s.wg.Add(1)
 		go func(addr string, sc *subConn) {
@@ -636,91 +642,41 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 		return false, false
 	}
 	defer conn.Close()
-	typeName, md5, _ := typeInfoOf0(s.rt)
-	format := formatROS1
-	_, sfm := s.rt.(sfmMarker)
-	if sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	fields := map[string]string{
-		hdrTopic:    s.topic,
-		hdrType:     typeName,
-		hdrMD5:      md5,
-		hdrCallerID: s.node.name,
-		hdrFormat:   format,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	}
-	if sfm && s.offersShm() && !sc.shmDisabled() {
-		fields[hdrTransports] = wire.TransportNameShm + "," + wire.TransportNameTCP
-		fields[hdrPID] = pidString()
-		fields[hdrBootID] = shm.BootID()
-	}
-	if sfm && len(s.fields) > 0 && !sc.fieldsDisabled() {
-		fields[hdrFields] = s.fieldsOffer()
-	}
-	if err := writeHeader(conn, fields); err != nil {
-		return false, false
-	}
-	reply, err := readHeader(conn)
+	reply, err := exchange(conn, subscribeHeader(s.topic, s.typeName, s.md5, s.node.name, s.sfm, s.offer(sc)))
 	if err != nil {
-		return false, false
+		return false, errors.Is(err, errRefused)
 	}
-	if _, bad := reply[hdrError]; bad {
-		return false, true
-	}
-	conn.SetDeadline(zeroTime())
-	if reply[hdrTransport] == wire.TransportNameShm {
-		rt, okRT := s.rt.(shmRuntime)
-		var mp *shm.Mapper
-		if okRT {
-			mp, err = newShmReceiver(reply, s.node.shmStats())
-		}
-		if !okRT || err != nil {
+	var dec frameDecoder
+	maxLen := maxFrameSize
+	switch replyMode(reply) {
+	case modeShm:
+		mp, err := s.openShm(reply)
+		if err != nil {
 			// The publisher selected shm but this side cannot stand it up
-			// (incompatible segment layout, mapping failure, malformed
-			// reply — all shapes of a protocol-revision mismatch): disable
-			// shm on this link and redial; the next handshake offers TCP
-			// only.
-			sc.disableShm()
-			if st := s.node.shmStats(); st != nil {
-				st.Fallbacks.Inc()
-				st.FallbackOldBuild.Inc()
-			}
+			// (never offered, incompatible segment layout, mapping failure,
+			// malformed reply — all shapes of a protocol-revision
+			// mismatch): decline shm on this link and redial; the next
+			// handshake offers TCP only.
+			sc.decline(capShm)
+			s.node.noteReject(reject{cap: capShm, reason: reasonOldBuild, detail: err})
 			return false, false
 		}
-		s.notifyState(addr, ConnConnected)
-		rt.runConnShm(conn, mp)
-		mp.Close()
-		return true, false
-	}
-	if reply[hdrFieldwire] == fieldwireV1 {
-		rt, okRT := s.rt.(sparseRuntime)
-		if !okRT {
-			// The publisher accepted a mask this runtime cannot decode —
-			// a protocol-revision mismatch. Redial mask-less.
-			sc.disableFields()
+		defer mp.Close()
+		dec, maxLen = s.decoders.shm(mp), maxTaggedFrameSize
+	case modeMasked:
+		if s.decoders.sparse == nil {
+			// The publisher accepted a mask this runtime cannot decode — a
+			// protocol-revision mismatch. Redial mask-less.
+			sc.decline(capFields)
 			return false, false
 		}
-		s.notifyState(addr, ConnConnected)
-		rt.runConnSparse(conn, reply, sc)
-		return true, false
+		dec = s.decoders.sparse(reply, sc)
+	default:
+		dec = s.decoders.plain(reply)
 	}
 	s.notifyState(addr, ConnConnected)
-	s.rt.runConn(conn, reply)
+	newPump(conn, maxLen, s).run(dec) //nolint:errcheck // every exit is a redial
 	return true, false
-}
-
-// offersShm reports whether this subscription advertises the shared-
-// memory transport when dialing: the mode must allow it, the platform
-// must support it, and the node must use the stock dialer — a custom
-// dialer (netsim links, tunnels) means the connection's address says
-// nothing about machine locality, so shm is never offered through one.
-func (s *Subscriber) offersShm() bool {
-	if s.transport != TransportAuto && s.transport != TransportShm {
-		return false
-	}
-	return shm.Available() && !s.node.customDial
 }
 
 // Close cancels the subscription, closes connections, and joins all
@@ -748,7 +704,7 @@ func (s *Subscriber) Close() {
 		s.cancelWatch()
 	}
 	for _, ep := range inproc {
-		ep.detachInproc(s.rt)
+		ep.detachInproc(s.local)
 	}
 	for _, c := range conns {
 		c.close()
@@ -765,16 +721,14 @@ func (s *Subscriber) Close() {
 // is rebound to each new connection.
 type subConn struct {
 	mu       sync.Mutex
-	addr     string
 	conn     net.Conn
 	closed   bool
-	noShm    bool // link-local shm opt-out after a failed shm setup
-	noFields bool // link-local field-mask opt-out after decode failures
+	declined capability // capabilities this link stopped offering after they failed on it
 	done     chan struct{}
 }
 
-func newSubConn(addr string) *subConn {
-	return &subConn{addr: addr, done: make(chan struct{})}
+func newSubConn() *subConn {
+	return &subConn{done: make(chan struct{})}
 }
 
 func (c *subConn) bind(conn net.Conn) bool {
@@ -793,31 +747,17 @@ func (c *subConn) isClosed() bool {
 	return c.closed
 }
 
-// disableShm stops this link from offering shm on future redials.
-func (c *subConn) disableShm() {
+// decline stops this link from offering c on future redials.
+func (c *subConn) decline(caps capability) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.noShm = true
+	c.declined |= caps
 }
 
-func (c *subConn) shmDisabled() bool {
+func (c *subConn) declinedCaps() capability {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.noShm
-}
-
-// disableFields stops this link from offering a field mask on future
-// redials (after persistent sparse-decode failure).
-func (c *subConn) disableFields() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noFields = true
-}
-
-func (c *subConn) fieldsDisabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.noFields
+	return c.declined
 }
 
 // sleep waits for d or until the link closes; it reports false when the
@@ -849,59 +789,24 @@ func (c *subConn) close() {
 	}
 }
 
-// sfmMarker tags the SFM runtime for format negotiation.
-type sfmMarker interface{ sfmRuntimeMarker() }
-
-// typeInfoOf0 recovers topic metadata from a runtime.
-func typeInfoOf0(rt subRuntime) (typeName, md5 string, ok bool) {
-	type meta interface{ topicMeta() (string, string) }
-	if m, isMeta := rt.(meta); isMeta {
-		t, s := m.topicMeta()
-		return t, s, true
-	}
-	return "", "", false
-}
-
 // ros1Runtime receives regular serialized messages.
 type ros1Runtime[T any] struct {
-	sub      *Subscriber
-	cb       func(*T)
-	typeName string
-	md5      string
+	sub *Subscriber
+	cb  func(*T)
 }
 
-func (r *ros1Runtime[T]) topicMeta() (string, string) { return r.typeName, r.md5 }
+func (r *ros1Runtime[T]) decoders() decoderSet {
+	return decoderSet{plain: func(map[string]string) frameDecoder { return r }}
+}
 
-func (r *ros1Runtime[T]) runConn(conn net.Conn, _ map[string]string) {
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	var scratch scratchBuf
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// Fast path: the frame is already in the batch buffer — deserialize
-		// straight out of it (deliverFrame consumes the bytes before the
-		// next reader call). Oversized frames and the legacy path fall back
-		// to the scratch copy.
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return
-			}
-		}
-		if !fr.verify(buf, crc) {
-			r.sub.noteCorrupt()
-			continue // corrupted in transit: reject, resync, never deliver
-		}
-		r.deliverFrame(buf)
+// decode deserializes straight out of the batch buffer: deliverFrame is
+// done with the bytes before the next call on the pump.
+func (r *ros1Runtime[T]) decode(rx *pump, n int, crc uint32) (bool, error) {
+	frame, ok, err := rx.frame(n, crc)
+	if ok && err == nil {
+		r.deliverFrame(frame)
 	}
+	return ok, err
 }
 
 func (r *ros1Runtime[T]) deliverFrame(frame []byte) {
@@ -936,62 +841,31 @@ func (r *ros1Runtime[T]) deliverFrame(frame []byte) {
 		})
 }
 
-func (r *ros1Runtime[T]) deliverShared(m any, release func()) {
-	// A regular subscriber never negotiates a shared SFM message; guard
-	// anyway to keep release-exactly-once.
-	defer release()
-}
+// deliverShared is never reached (attachInproc refuses a regime
+// mismatch); releasing anyway keeps release-exactly-once.
+func (r *ros1Runtime[T]) deliverShared(_ any, release func()) { release() }
 
 // sfmRuntime receives serialization-free messages: frames are adopted as
 // live messages with zero transformation.
 type sfmRuntime[T any] struct {
-	sub      *Subscriber
-	cb       func(*T)
-	layout   *core.Layout
-	mgr      *core.Manager
-	typeName string
-	md5      string
+	sub    *Subscriber
+	cb     func(*T)
+	layout *core.Layout
+	mgr    *core.Manager
 }
 
-func (r *sfmRuntime[T]) sfmRuntimeMarker()           {}
-func (r *sfmRuntime[T]) topicMeta() (string, string) { return r.typeName, r.md5 }
-
-func (r *sfmRuntime[T]) runConn(conn net.Conn, pubHeader map[string]string) {
-	srcLittle := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		buf := r.mgr.GetBuffer(n)
-		// The payload lands in the arena: readFull copies any batched
-		// prefix and streams the remainder straight into the arena buffer.
-		if err := fr.readFull(buf.Bytes()[:n]); err != nil {
-			buf.Discard()
-			return
-		}
-		// The checksum runs before the bytes are adopted as a live
-		// message: a corrupted arena image must never reach a callback.
-		if !fr.verify(buf.Bytes()[:n], crc) {
-			r.sub.noteCorrupt()
-			buf.Discard()
-			continue
-		}
-		// §4.4.1: the message arrives in the publisher's byte order; the
-		// subscriber converts only on mismatch.
-		if err := core.ConvertEndianness(buf.Bytes()[:n], r.layout, srcLittle); err != nil {
-			buf.Discard()
-			return
-		}
-		m, err := core.Adopt[T](buf, n)
-		if err != nil {
-			buf.Discard()
-			continue
-		}
-		r.deliverAdopted(m, n)
+func (r *sfmRuntime[T]) decoders() decoderSet {
+	link := func(reply map[string]string) *sfmConn[T] {
+		return &sfmConn[T]{r: r, srcLittle: reply[hdrEndian] != endianBig}
+	}
+	return decoderSet{
+		plain: func(reply map[string]string) frameDecoder { return link(reply) },
+		shm: func(mp *shm.Mapper) frameDecoder {
+			return &sfmTaggedDecoder[T]{sfmConn: sfmConn[T]{r: r, srcLittle: core.NativeLittleEndian()}, mp: mp}
+		},
+		sparse: func(reply map[string]string, sc *subConn) frameDecoder {
+			return &sparseDecoder{sink: link(reply), link: sc, fw: r.sub.node.fieldwireStats()}
+		},
 	}
 }
 
@@ -1061,15 +935,6 @@ func (r *sfmRuntime[T]) deliverShared(m any, release func()) {
 	)
 }
 
-func (r *sfmRuntime[T]) deliverFrame(frame []byte) {
-	// An SFM subscriber attached to a regular publisher is prevented at
-	// negotiation time; adopt defensively if it ever happens.
-	buf := r.mgr.GetBuffer(len(frame))
-	copy(buf.Bytes(), frame)
-	m, err := core.Adopt[T](buf, len(frame))
-	if err != nil {
-		buf.Discard()
-		return
-	}
-	r.deliverAdopted(m, len(frame))
-}
+// deliverFrame is never reached: attachInproc refuses a regime
+// mismatch, and a serialized frame is not an arena image to adopt.
+func (r *sfmRuntime[T]) deliverFrame([]byte) {}
