@@ -160,7 +160,8 @@ func replyMode(reply map[string]string) linkMode {
 
 // openShm stands up the subscriber side of an shm answer: the peer
 // lease parsed out of the reply, then a mapper over the publisher's
-// segments.
+// segments with the heartbeat that keeps the lease alive. Any failure
+// is a negotiation failure — the caller falls back to a TCP redial.
 func (s *Subscriber) openShm(reply map[string]string) (*shm.Mapper, error) {
 	if s.decoders.shm == nil {
 		return nil, fmt.Errorf("%w: publisher selected shm, which was never offered", ErrHandshake)
@@ -183,12 +184,26 @@ func (s *Subscriber) openShm(reply map[string]string) (*shm.Mapper, error) {
 	if err != nil {
 		gen = 0
 	}
-	return newShmReceiver(prefix, peer, uint32(gen), lease, s.node.shmStats())
+	m, err := shm.NewMapper(prefix, peer, uint32(gen), s.node.shmStats())
+	if err != nil {
+		return nil, err
+	}
+	// Heartbeat at a fifth of the lease: several beats fit inside one
+	// timeout, so a single missed tick never loses the lease.
+	interval := lease / 5
+	if interval <= 0 {
+		interval = time.Millisecond
+	}
+	if err := m.StartHeartbeat(interval); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
 }
 
 // answer is the publisher's decision about one offer. Nothing in it has
-// touched a counter yet: acceptConn commits it once the connection is
-// admitted and aborts it on every exit before that.
+// touched a counter yet: admit commits it once the connection is sure
+// to be attached, and acceptConn aborts it on every exit before that.
 type answer struct {
 	mode    linkMode
 	shm     *shmSender      // the peer lease; non-nil iff mode == modeShm

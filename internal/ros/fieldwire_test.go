@@ -265,7 +265,9 @@ func TestFieldMaskNoMapFallsBackToFullFrames(t *testing.T) {
 
 // TestFieldMaskLatchedDelivery checks the latch path: encoding happens
 // in the write stage, so a late masked subscriber receives the latched
-// message sliced by its mask.
+// message sliced by its mask. The latched frame is the earliest one a
+// connection can carry, and the mask is already counted when it lands:
+// the answer is committed before the connection can send.
 func TestFieldMaskLatchedDelivery(t *testing.T) {
 	m := ros.NewLocalMaster()
 	reg := obs.NewRegistry()
@@ -285,7 +287,8 @@ func TestFieldMaskLatchedDelivery(t *testing.T) {
 
 	got := make(chan rxHeader, 4)
 	sub, err := ros.Subscribe(subNode, "mask/latch", func(img *sensor_msgs.ImageSF) {
-		got <- rxHeader{seq: img.Header.Seq, frame: img.Header.FrameID.Get(), data: img.Data.Len()}
+		got <- rxHeader{seq: img.Header.Seq, frame: img.Header.FrameID.Get(), data: img.Data.Len(),
+			masked: reg.Snapshot().Fieldwire.MaskedSubscriptions}
 	}, ros.WithTransport(ros.TransportTCP),
 		ros.WithFields("header.seq", "header.frame_id"))
 	if err != nil {
@@ -301,6 +304,9 @@ func TestFieldMaskLatchedDelivery(t *testing.T) {
 		if rx.data != 0 {
 			t.Errorf("latched masked delivery carried %d data bytes, want 0", rx.data)
 		}
+		if rx.masked != 1 {
+			t.Errorf("masked_subscriptions = %d at the first delivery, want 1", rx.masked)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("late masked subscriber never received the latched message")
 	}
@@ -310,6 +316,8 @@ type rxHeader struct {
 	seq   uint32
 	frame string
 	data  int
+	// masked is the masked_subscriptions counter as the callback saw it.
+	masked uint64
 }
 
 // TestWithFieldsRequiresSFMType: field masks are an SFM-path feature;

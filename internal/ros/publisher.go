@@ -362,9 +362,11 @@ type inprocTarget interface {
 	// deliverShared hands over a shared serialization-free message; the
 	// target must call release exactly once when done.
 	deliverShared(m any, release func())
-	// deliverFrame hands over a serialized ROS1 frame. The frame must not
-	// be retained after return.
-	deliverFrame(frame []byte)
+	// deliverFrame hands over a frame in the endpoint's wire regime: a
+	// serialized ROS1 message, or (from a raw SFM publisher) an arena
+	// image in the byte order srcLittle names. The frame must not be
+	// retained after return.
+	deliverFrame(frame []byte, srcLittle bool)
 }
 
 // frameItem is one outbound queue entry: a plain serialized frame, a
@@ -557,7 +559,7 @@ func (ep *pubEndpoint) deliverLatchedInproc(t inprocTarget) {
 		return
 	}
 	if l.frame != nil {
-		t.deliverFrame(l.frame)
+		t.deliverFrame(l.frame, ep.endianName != endianBig)
 	}
 }
 
@@ -630,7 +632,7 @@ func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
 		c.enqueue(it)
 	}
 	for _, t := range targets {
-		t.deliverFrame(frame)
+		t.deliverFrame(frame, ep.endianName != endianBig)
 	}
 	if st := ep.stats; st != nil {
 		st.Messages.Inc()
@@ -668,14 +670,15 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 		a.abort()
 		return err
 	}
-	a.commit(ep)
 	return nil
 }
 
 // admit sends the reply and attaches the connection to the endpoint —
-// its own write loop, or a shard. Until it returns nil the subscriber
-// may hang up or the endpoint may close, so nothing the answer decided
-// is counted before then, and the caller releases what it reserved.
+// its own write loop, or a shard. The subscriber may hang up or the
+// endpoint may close first: then nothing the answer decided is counted
+// and the caller releases what it reserved. Once neither can happen the
+// answer is committed, before the connection can carry a frame, so a
+// reader that saw a delivery also sees the counters.
 func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) error {
 	if err := writeHeader(conn, reply); err != nil {
 		return err
@@ -697,6 +700,7 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 		ep.mu.Unlock()
 		return errors.New("ros: publisher closed")
 	}
+	a.commit(ep)
 	// Shard routing: plain TCP connections go to the pool once it is (or
 	// should be) live; shm connections always keep a dedicated loop, as
 	// their descriptors are per-peer, and so do mask-negotiated ones,

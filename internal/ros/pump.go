@@ -148,16 +148,21 @@ func (c *sfmConn[T]) adopt(buf *core.Buffer, n, wireLen int) error {
 	return nil
 }
 
-// decode is the plain decoder: each frame is read straight into a fresh
-// arena and adopted with zero transformation.
-func (c *sfmConn[T]) decode(rx *pump, n int, crc uint32) (bool, error) {
+// receive reads an n-byte message image straight into a fresh arena and
+// adopts it with zero transformation (prefix as in pump.into).
+func (c *sfmConn[T]) receive(rx *pump, n int, prefix []byte, crc uint32) (bool, error) {
 	buf := c.r.mgr.GetBuffer(n)
-	ok, err := rx.into(buf.Bytes()[:n], nil, crc)
+	ok, err := rx.into(buf.Bytes()[:n], prefix, crc)
 	if !ok || err != nil {
 		buf.Discard()
 		return ok, err
 	}
 	return true, c.adopt(buf, n, n)
+}
+
+// decode is the plain decoder: the frame is the message.
+func (c *sfmConn[T]) decode(rx *pump, n int, crc uint32) (bool, error) {
+	return c.receive(rx, n, nil, crc)
 }
 
 // Frames on a connection that negotiated shm lead with a one-byte tag:
@@ -216,13 +221,7 @@ func (d *sfmTaggedDecoder[T]) decode(rx *pump, n int, crc uint32) (bool, error) 
 		}
 		return true, d.adopt(buf, len(mem), len(mem))
 	case d.tag[0] == tagInline:
-		buf := d.r.mgr.GetBuffer(body)
-		ok, err := rx.into(buf.Bytes()[:body], d.tag[:], crc)
-		if !ok || err != nil {
-			buf.Discard()
-			return ok, err
-		}
-		return true, d.adopt(buf, body, body)
+		return d.receive(rx, body, d.tag[:], crc)
 	}
 	// A mis-sized descriptor, or a tag from a future build: skip the
 	// frame, keep the stream.

@@ -149,6 +149,88 @@ func TestSubscribeRawSFMNextToShmPublisher(t *testing.T) {
 	}
 }
 
+// TestAdvertiseRawSFMToInprocSubscriber: a raw SFM publisher (rosbag
+// play, a relay) hands its frames to same-process typed subscribers
+// through the in-process attachment, which must adopt them exactly like
+// frames off a socket — live and latched, and converted when the frames
+// were recorded in the other byte order.
+func TestAdvertiseRawSFMToInprocSubscriber(t *testing.T) {
+	src, _ := core.NewWithCapacity[testImageSF](4096)
+	src.Height, src.Width = 0x01020304, 7
+	src.Encoding.MustSet("mono8")
+	src.Data.MustResize(3)
+	copy(src.Data.Slice(), []byte{9, 8, 7})
+	img, _ := core.Bytes(src)
+	native := append([]byte(nil), img...)
+	core.Release(src)
+	layout, err := core.LayoutOf[testImageSF]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := append([]byte(nil), native...)
+	if err := core.ForeignizeEndianness(foreign, layout); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		frame   []byte
+		little  bool
+		latched bool
+	}{
+		{"live", native, core.NativeLittleEndian(), false},
+		{"latched", native, core.NativeLittleEndian(), true},
+		{"live, foreign byte order", foreign, !core.NativeLittleEndian(), false},
+		{"latched, foreign byte order", foreign, !core.NativeLittleEndian(), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := ros.NewLocalMaster()
+			node := newNode(t, "replay", m)
+			var img testImageSF
+			var opts []ros.PubOption
+			if c.latched {
+				opts = append(opts, ros.WithLatch())
+			}
+			pub, err := ros.AdvertiseRaw(node, "raw/inproc", img.ROSMessageType(), img.ROSMD5Sum(), true, c.little, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type seen struct {
+				h, w uint32
+				enc  string
+				data []byte
+			}
+			got := make(chan seen, 1)
+			subscribe := func() {
+				_, err := ros.Subscribe(node, "raw/inproc", func(m *testImageSF) {
+					got <- seen{m.Height, m.Width, m.Encoding.Get(), append([]byte(nil), m.Data.Slice()...)}
+				}, ros.WithTransport(ros.TransportInproc))
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.latched {
+				// The late subscriber gets the retained frame at attach.
+				pub.PublishFrame(c.frame)
+				subscribe()
+			} else {
+				subscribe()
+				eventually(t, "inproc attach", func() bool { return pub.NumSubscribers() == 1 })
+				pub.PublishFrame(c.frame)
+			}
+			select {
+			case s := <-got:
+				if s.h != 0x01020304 || s.w != 7 || s.enc != "mono8" || string(s.data) != "\x09\x08\x07" {
+					t.Errorf("delivered %+v", s)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the in-process subscriber never got the raw SFM frame")
+			}
+		})
+	}
+}
+
 // TestTopicsInfoOverProtocol checks the introspection op end to end.
 func TestTopicsInfoOverProtocol(t *testing.T) {
 	srv, err := ros.NewMasterServer("127.0.0.1:0")

@@ -1,18 +1,16 @@
 package ros
 
 import (
-	"time"
-
 	"rossf/internal/core"
 	"rossf/internal/obs"
 	"rossf/internal/shm"
 	"rossf/internal/wire"
 )
 
-// Shared-memory transport: the publisher's per-connection grant, the
-// descriptor queue items it mints, and the subscriber-side mapper. Which
-// connections get it is decided in capability.go; how its tagged frames
-// are consumed, in pump.go.
+// Shared-memory transport: the publisher's per-connection grant and the
+// descriptor queue items it mints. Which connections get it, and the
+// subscriber-side mapper, are decided in capability.go; how its tagged
+// frames are consumed, in pump.go.
 
 // shmSender is a pubConn's grant to publish into shared memory: the
 // node's store plus the peer lease (id and generation) the subscriber
@@ -74,26 +72,4 @@ func shmItemFor[T any](c *pubConn, m *T) (it frameItem, promoted bool, outcome s
 	t := [1]byte{tagDescriptor}
 	it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
 	return it, promoted, shmShared
-}
-
-// newShmReceiver stands up the subscriber side of a granted peer lease:
-// a mapper over the publisher's segments with the heartbeat that keeps
-// the lease alive. Any failure here is a negotiation failure — the
-// caller falls back to a TCP redial.
-func newShmReceiver(prefix string, peer int, gen uint32, lease time.Duration, stats *obs.ShmStats) (*shm.Mapper, error) {
-	m, err := shm.NewMapper(prefix, peer, gen, stats)
-	if err != nil {
-		return nil, err
-	}
-	// Heartbeat at a fifth of the lease: several beats fit inside one
-	// timeout, so a single missed tick never loses the lease.
-	interval := lease / 5
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	if err := m.StartHeartbeat(interval); err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
 }

@@ -804,12 +804,12 @@ func (r *ros1Runtime[T]) decoders() decoderSet {
 func (r *ros1Runtime[T]) decode(rx *pump, n int, crc uint32) (bool, error) {
 	frame, ok, err := rx.frame(n, crc)
 	if ok && err == nil {
-		r.deliverFrame(frame)
+		r.deliverFrame(frame, true)
 	}
 	return ok, err
 }
 
-func (r *ros1Runtime[T]) deliverFrame(frame []byte) {
+func (r *ros1Runtime[T]) deliverFrame(frame []byte, _ bool) {
 	m := new(T)
 	sz, ok := any(m).(Serializable)
 	if !ok {
@@ -935,6 +935,13 @@ func (r *sfmRuntime[T]) deliverShared(m any, release func()) {
 	)
 }
 
-// deliverFrame is never reached: attachInproc refuses a regime
-// mismatch, and a serialized frame is not an arena image to adopt.
-func (r *sfmRuntime[T]) deliverFrame([]byte) {}
+// deliverFrame adopts a frame a raw SFM publisher (rosbag play, a relay)
+// hands over in-process. The bytes stay the publisher's — they may be
+// fanned out to other targets or latched — so they are copied into an
+// arena first and then adopted exactly like a frame off a socket.
+func (r *sfmRuntime[T]) deliverFrame(frame []byte, srcLittle bool) {
+	buf := r.mgr.GetBuffer(len(frame))
+	copy(buf.Bytes(), frame)
+	c := sfmConn[T]{r: r, srcLittle: srcLittle}
+	c.adopt(buf, len(frame), len(frame)) // an unconvertible frame is dropped
+}
