@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check clean
+.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor clean
 
 all: build test
 
@@ -38,12 +38,15 @@ chaos-failover:
 	$(GO) test -race -count=1 -run 'TestStandby|TestStaleEpoch|TestPromoted|TestClientSkips|TestReplayConvergenceAcrossPromotion|TestMultiAddressDialShape|TestUnadopted' ./internal/ros/
 
 # Short fuzz passes: long enough to catch regressions in the frame
-# scanner and parser, short enough for CI.
+# scanner and parser, short enough for CI. The last one drives the
+# recycled-record life-cycle model (TESTING.md) from generated seeds;
+# `make race` runs its seed corpus under the race detector.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzParseSrv -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDecoder -fuzztime=10s ./internal/fieldwire/
+	$(GO) test -run=NONE -fuzz=FuzzRecycledRecordSafety -fuzztime=10s ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -117,6 +120,12 @@ stats-smoke:
 # receive pump, one negotiation site, no legacy switches.
 pipeline-check:
 	sh scripts/pipeline_check.sh
+
+# Allocation floor (DESIGN §3.2): the gated benchmark workloads must
+# stay within their heap-objects-per-message budget with no failed
+# delivery. A count, not a timing, so it gates on any runner.
+alloc-floor:
+	bash scripts/alloc_floor.sh
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -4,20 +4,19 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"unsafe"
 )
 
 // rewindPayload resets a message's whole-message size back to used,
 // discarding payload regions, so grow-path benchmarks can run
 // indefinitely inside one arena. Test-only: real code never shrinks.
 func rewindPayload[T any](m *T, used int) {
-	r, err := recordFor(unsafe.Pointer(m))
+	f, err := resolve(m)
 	if err != nil {
 		panic(err)
 	}
-	r.mu.Lock()
-	r.used = uint32(used)
-	r.mu.Unlock()
+	f.rec.mu.Lock()
+	f.rec.used = uint32(used)
+	f.rec.mu.Unlock()
 }
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the

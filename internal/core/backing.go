@@ -67,20 +67,20 @@ func (m *Manager) BackingStoreOf() BackingStore {
 // Adopt. mem must be arenaAlign-aligned; free, if non-nil, runs exactly
 // once when the adopted message destructs or the buffer is discarded
 // unused. The memory must stay valid until then.
-func (m *Manager) NewExternalBuffer(mem []byte, free func()) (*Buffer, error) {
+func (m *Manager) NewExternalBuffer(mem []byte, free func()) (Buffer, error) {
 	if len(mem) == 0 {
-		return nil, fmt.Errorf("%w: empty external buffer", ErrBufferMisuse)
+		return Buffer{}, fmt.Errorf("%w: empty external buffer", ErrBufferMisuse)
 	}
 	if uintptr(unsafe.Pointer(&mem[0]))&(arenaAlign-1) != 0 {
-		return nil, fmt.Errorf("%w: external buffer is not %d-byte aligned", ErrBufferMisuse, arenaAlign)
+		return Buffer{}, fmt.Errorf("%w: external buffer is not %d-byte aligned", ErrBufferMisuse, arenaAlign)
 	}
-	b := &Buffer{raw: mem, arena: mem, mgr: m}
-	if free != nil {
-		b.free = func([]byte) { free() }
-	} else {
-		b.free = func([]byte) {}
+	if free == nil {
+		free = func() {}
 	}
-	return b, nil
+	r := m.pool.bareRecord(m)
+	r.attach(mem, mem)
+	r.extFree = free
+	return r.lend(), nil
 }
 
 // SharedHandleOf returns the backing-store handle of a message whose
@@ -91,13 +91,12 @@ func (m *Manager) NewExternalBuffer(mem []byte, free func()) (*Buffer, error) {
 // store's handle against another's segments. The transport must then
 // fall back to sending the bytes.
 func SharedHandleOf[T any](m *T, bs BackingStore) (handle uint64, used int, ok bool) {
-	r, err := recordFor(unsafe.Pointer(m))
+	r, err := enter(m)
 	if err != nil {
 		return 0, 0, false
 	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.hasShared || r.bs != bs || r.state == StateDestructed {
+	if !r.hasShared || r.bs != bs {
 		return 0, 0, false
 	}
 	return r.shared, int(r.used), true
@@ -115,24 +114,20 @@ func SharedHandleOf[T any](m *T, bs BackingStore) (handle uint64, used int, ok b
 // performed a copy (for the transport's promotion counter); a cached or
 // native handle returns promoted=false.
 //
-// The caller must hold the message for the duration of its use of the
-// returned handle (the transport holds a publish-time reference), which
-// pins the promotion slot through the record's cached baseline
-// reference. Growing a message concurrently with publishing it is an
-// application-level race, exactly as on the inline path.
-func PromoteShared[T any](m *T, bs BackingStore) (handle uint64, used int, promoted, ok bool) {
+// The caller holds f for the duration of its use of the returned handle
+// (the transport's publish-time reference), which pins the promotion
+// slot through the record's cached baseline reference. Growing a message
+// concurrently with publishing it is an application-level race, exactly
+// as on the inline path.
+func (f Ref) PromoteShared(bs BackingStore) (handle uint64, used int, promoted, ok bool) {
 	if bs == nil {
 		return 0, 0, false, false
 	}
-	r, err := recordFor(unsafe.Pointer(m))
+	r, err := f.enter()
 	if err != nil {
 		return 0, 0, false, false
 	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state == StateDestructed {
-		return 0, 0, false, false
-	}
 	if r.hasShared && r.bs == bs {
 		return r.shared, int(r.used), false, true
 	}
@@ -148,4 +143,13 @@ func PromoteShared[T any](m *T, bs BackingStore) (handle uint64, used int, promo
 	r.dropPromoLocked()
 	r.promoHandle, r.promoRaw, r.promoUsed, r.promoBS = h, raw, r.used, bs
 	return h, n, true, true
+}
+
+// PromoteShared resolves m and promotes it (see Ref.PromoteShared).
+func PromoteShared[T any](m *T, bs BackingStore) (handle uint64, used int, promoted, ok bool) {
+	f, err := resolve(m)
+	if err != nil {
+		return 0, 0, false, false
+	}
+	return f.PromoteShared(bs)
 }

@@ -10,23 +10,25 @@ import (
 // This file implements lifecycle-debug mode: the guard against the
 // address-reuse (ABA) hazard of a pooled-arena design.
 //
-// Every record carries a generation stamped from a process-wide counter
-// at registration. Without debug mode a destructed arena returns to the
-// pool and can be reissued at the same base address; a dangling
-// String/Vector descriptor pointer from the previous incarnation then
-// resolves — by address — to the *new* message, and a write through it
-// silently grows or corrupts that message. The 8-byte wire descriptors
-// have no room for the generation (the format is fixed), so the stamp
-// lives in the manager's records and, in debug mode, in a tombstone
-// side-table instead of the wire bytes.
+// Every incarnation of a record carries a generation stamped from a
+// process-wide counter when the record leaves the pool. Without debug
+// mode a destructed record returns to the pool with its arena and is
+// reissued at the same base address; a dangling String/Vector descriptor
+// pointer from the previous incarnation then resolves — by address — to
+// the *new* message, and a write through it silently grows or corrupts
+// that message. Handles (Ref, Buffer) carry their generation and are
+// refused once it has passed, recycled record or not; the 8-byte wire
+// descriptors have no room for one (the format is fixed), so for raw
+// pointers the stamp lives in the manager's records and, in debug mode,
+// in a tombstone side-table instead of the wire bytes.
 //
 // With SetLifecycleDebug(true):
 //
 //   - destructed arenas are quarantined, not pooled: the raw buffer is
-//     parked in a bounded tombstone table, so neither the pool nor the
-//     Go allocator can reissue its address range while the tombstone
-//     lives;
-//   - any address lookup (grow, recordFor) that lands inside a
+//     parked in a bounded tombstone table and its record is left dead,
+//     so neither the pool nor the Go allocator can reissue the address
+//     range while the tombstone lives;
+//   - any address lookup (grow, resolve) that lands inside a
 //     tombstoned range fails with ErrStaleGeneration naming the dead
 //     incarnation's generation, and emits a TraceStale event through
 //     the trace hook — the corruption is detected, not silent.

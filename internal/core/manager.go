@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // State is the life-cycle state of a serialization-free message (Fig. 8/9
@@ -40,27 +38,41 @@ func (s State) String() string {
 	}
 }
 
-// record tracks one live arena. It is the paper's "record in the global
-// message manager": start address, current size of the whole message, and
-// the reference count that stands in for the C++ buffer smart pointer.
+// record tracks one arena through its incarnations. It is the paper's
+// "record in the global message manager": start address, current size of
+// the whole message, and the reference count that stands in for the C++
+// buffer smart pointer.
+//
+// The record is the pooled unit: a heap-class record keeps its storage
+// across incarnations, so GetBuffer, register, release and recycle move
+// one object and the steady-state message life cycle allocates nothing.
+// Everything that can reach a record after its incarnation ended — a Ref
+// or Buffer copy, an address resolved just before the final release —
+// carries the generation it was resolved at, and every operation checks
+// it: life pairs the generation with the reference count in one word (a
+// stale retain/release cannot touch the next occupant's count), and mu
+// guards gen, state and used together.
 type record struct {
-	mu    sync.Mutex // guards used and state
-	base  uintptr    // numeric address of arena[0], for ordering/lookup only
-	end   uintptr    // base + capacity
-	gen   uint64     // incarnation number; disambiguates reissued addresses
-	arena []byte     // aligned storage, len == capacity
-	raw   []byte     // original pooled allocation backing arena
-	used  uint32     // bytes of the whole message currently in use
-	state State
-	refs  atomic.Int32
+	mu sync.Mutex // guards gen, state, used, arena growth and the promotion cache
+	// life is uint32(gen)<<32 | refs. refs == 0 means the record is not
+	// a live message: a loose buffer, destructed, or pooled.
+	life  atomic.Uint64
+	base  uintptr // numeric address of arena[0], for ordering/lookup only
+	end   uintptr // base + capacity
+	gen   uint64  // incarnation number; disambiguates reissued addresses and recycled records
+	arena []byte  // aligned storage, len == capacity
+	raw   []byte  // allocation backing arena; a heap-class record keeps it while pooled
+	used  uint32  // bytes of the whole message currently in use
+	state State   // stateLoose between GetBuffer and Adopt/NewIn
 	mgr   *Manager
 	typ   reflect.Type // skeleton type, nil for untyped adoption
-	// free, when non-nil, returns the raw storage to its BackingStore or
-	// external owner on destruction instead of the heap pool.
-	free      func([]byte)
+	// Storage owner. Heap storage (none set) recycles with the record;
+	// store-backed storage returns to bs under the shared handle, and
+	// external memory is handed back through extFree.
+	bs        BackingStore
 	shared    uint64 // BackingStore handle (valid when hasShared)
 	hasShared bool
-	bs        BackingStore // store that issued the handle
+	extFree   func() // non-nil on external memory
 	// Publish-time promotion cache (PromoteShared): a copy-once shared
 	// slot for a message whose own arena is not store-backed. Valid while
 	// promoBS is non-nil and promoUsed matches used; released on grow
@@ -70,6 +82,19 @@ type record struct {
 	promoUsed   uint32
 	promoBS     BackingStore
 }
+
+// stateLoose is the state of a record handed out by GetBuffer and not
+// yet registered: it owns storage but is no message.
+const stateLoose State = 0
+
+const refsMask = 1<<32 - 1
+
+// lifeWord packs a generation tag with a reference count.
+func lifeWord(gen uint64, refs uint32) uint64 { return gen<<32 | uint64(refs) }
+
+// liveAt reports whether life word w belongs to incarnation gen and still
+// counts a reference.
+func liveAt(w, gen uint64) bool { return uint32(w>>32) == uint32(gen) && w&refsMask != 0 }
 
 // dropPromoLocked releases the record's cached promotion slot, if any.
 // Caller holds r.mu; BackingStore.Release takes only the store's own
@@ -81,10 +106,11 @@ func (r *record) dropPromoLocked() {
 	}
 }
 
-// genCounter issues record generations. A pooled buffer reissued at the
-// same base address gets a fresh generation, so trace events (and the
-// lifecycle-debug quarantine) can tell incarnations apart even when the
-// address cannot.
+// genCounter issues record generations, one per incarnation: a record
+// leaving the pool — at the same base address as its previous life, when
+// its heap storage was recycled with it — gets a fresh generation, so
+// handles, trace events and the lifecycle-debug quarantine can tell
+// incarnations apart even when neither the address nor the record can.
 var genCounter atomic.Uint64
 
 // index is the process-wide address-ordered table of live records. Field
@@ -93,15 +119,37 @@ var genCounter atomic.Uint64
 type index struct {
 	mu   sync.RWMutex
 	recs []*record // sorted by base, non-overlapping
+	// last is the record the previous lookup resolved. A message is
+	// built by a run of Set/Resize calls that know only a field address
+	// inside the same arena, so the next lookup almost always lands in
+	// it again and skips the binary search. It is read and replaced
+	// under mu's read side — a registered record's bounds only change
+	// under the write side — and cleared by remove.
+	last atomic.Pointer[record]
 }
 
 var gidx index
+
+// after returns the position of the first record whose base is above
+// addr. Caller holds mu.
+func (ix *index) after(addr uintptr) int {
+	lo, hi := 0, len(ix.recs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.recs[mid].base <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // insert registers a record, keeping recs sorted by base address.
 func (ix *index) insert(r *record) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	i := sort.Search(len(ix.recs), func(i int) bool { return ix.recs[i].base >= r.base })
+	i := ix.after(r.base)
 	ix.recs = append(ix.recs, nil)
 	copy(ix.recs[i+1:], ix.recs[i:])
 	ix.recs[i] = r
@@ -111,8 +159,8 @@ func (ix *index) insert(r *record) {
 func (ix *index) remove(r *record) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	i := sort.Search(len(ix.recs), func(i int) bool { return ix.recs[i].base >= r.base })
-	if i < len(ix.recs) && ix.recs[i] == r {
+	ix.last.CompareAndSwap(r, nil)
+	if i := ix.after(r.base) - 1; i >= 0 && ix.recs[i] == r {
 		ix.recs = append(ix.recs[:i], ix.recs[i+1:]...)
 	}
 }
@@ -130,8 +178,8 @@ func (ix *index) extend(r *record, newEnd uintptr) bool {
 	if newEnd <= r.end {
 		return true
 	}
-	i := sort.Search(len(ix.recs), func(i int) bool { return ix.recs[i].base >= r.base })
-	if i >= len(ix.recs) || ix.recs[i] != r {
+	i := ix.after(r.base) - 1
+	if i < 0 || ix.recs[i] != r {
 		return false
 	}
 	if i+1 < len(ix.recs) && ix.recs[i+1].base < newEnd {
@@ -141,22 +189,26 @@ func (ix *index) extend(r *record, newEnd uintptr) bool {
 	return true
 }
 
-// lookup finds the record whose arena contains addr. This is the binary
-// search from §4.3.3: "find the record of a message with an address in the
-// middle of the message".
-func (ix *index) lookup(addr uintptr) *record {
+// lookup resolves the record whose arena contains addr to a handle
+// stamped with its current generation, plus addr's offset from the
+// arena start; the zero Ref means no live arena contains addr. This is
+// the search from §4.3.3: "find the record of a message with an address
+// in the middle of the message".
+func (ix *index) lookup(addr uintptr) (f Ref, off uintptr) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	// First record with base > addr; candidate is the one before it.
-	i := sort.Search(len(ix.recs), func(i int) bool { return ix.recs[i].base > addr })
-	if i == 0 {
-		return nil
+	r := ix.last.Load()
+	if r == nil || addr < r.base || addr >= r.end {
+		i := ix.after(addr)
+		if i == 0 {
+			return Ref{}, 0
+		}
+		if r = ix.recs[i-1]; addr >= r.end {
+			return Ref{}, 0
+		}
+		ix.last.Store(r)
 	}
-	r := ix.recs[i-1]
-	if addr >= r.base && addr < r.end {
-		return r
-	}
-	return nil
+	return Ref{rec: r, gen: r.gen}, addr - r.base
 }
 
 // live reports the number of registered records (for tests and stats).
@@ -277,30 +329,28 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// register wraps an aligned buffer in a record and inserts it into the
-// global index with one reference held by the caller.
-func (m *Manager) register(b *Buffer, used uint32, st State, typ reflect.Type) *record {
-	base := uintptr(unsafe.Pointer(&b.arena[0]))
-	r := &record{
-		base:      base,
-		end:       base + uintptr(len(b.arena)),
-		gen:       genCounter.Add(1),
-		arena:     b.arena,
-		raw:       b.raw,
-		used:      used,
-		state:     st,
-		mgr:       m,
-		typ:       typ,
-		free:      b.free,
-		shared:    b.shared,
-		hasShared: b.hasShared,
-		bs:        b.bs,
+// register makes a loose buffer a live message of used bytes with one
+// reference held by the caller, inserts it into the global index, and
+// returns the arena with the resolved handle. It fails when b is not the
+// current loan of its record (already adopted, discarded, or a copy kept
+// past either), or when used is not within [skeleton, capacity].
+func (m *Manager) register(b Buffer, used, skeleton int, st State, typ reflect.Type) ([]byte, Ref, error) {
+	r := b.loose()
+	if r == nil {
+		return nil, Ref{}, fmt.Errorf("%w: nil or consumed buffer", ErrBufferMisuse)
 	}
-	r.refs.Store(1)
+	if used < skeleton || used > len(r.arena) {
+		r.mu.Unlock()
+		return nil, Ref{}, fmt.Errorf("%w: used %d, skeleton %d, capacity %d",
+			ErrBufferMisuse, used, skeleton, len(r.arena))
+	}
+	r.used, r.state, r.typ = uint32(used), st, typ
+	r.mu.Unlock()
+	r.life.Store(lifeWord(r.gen, 1))
 	gidx.insert(r)
 	m.allocs.Add(1)
 	raiseMax(&m.maxLive, m.live.Add(1))
-	raiseMax(&m.maxBytesLive, m.bytesLive.Add(int64(len(b.arena))))
+	raiseMax(&m.maxBytesLive, m.bytesLive.Add(int64(len(r.arena))))
 	if c := m.stateCounter(st); c != nil {
 		c.Add(1)
 	}
@@ -308,36 +358,51 @@ func (m *Manager) register(b *Buffer, used uint32, st State, typ reflect.Type) *
 	if st == StatePublished {
 		op = TraceAdopt
 	}
-	traceEmit(op, r, st, len(b.arena))
-	return r
+	traceEmit(op, r, st, len(r.arena))
+	return r.arena, Ref{rec: r, gen: r.gen}, nil
 }
 
-// retain increments the record's reference count. It fails once the
-// message has been destructed.
-func (r *record) retain() error {
+// retain adds a reference to incarnation gen of the record. It fails once
+// that incarnation has been destructed — including when the record has
+// since been recycled into another message: the generation tag and the
+// count change together, so a stale retain never reaches the next
+// occupant. (The count is 32 bits wide, like the atomic.Int32 it
+// replaces; nothing holds four billion references.)
+func (r *record) retain(gen uint64) error {
 	for {
-		n := r.refs.Load()
-		if n <= 0 {
+		w := r.life.Load()
+		if !liveAt(w, gen) {
 			return ErrDestructed
 		}
-		if r.refs.CompareAndSwap(n, n+1) {
+		if r.life.CompareAndSwap(w, w+1) {
 			return nil
 		}
 	}
 }
 
-// release decrements the reference count and, on reaching zero, destructs
-// the message: the record leaves the index and the buffer returns to the
-// pool. It reports whether the message was destructed by this call.
-func (r *record) release() (bool, error) {
-	n := r.refs.Add(-1)
-	switch {
-	case n > 0:
-		return false, nil
-	case n < 0:
-		r.refs.Add(1) // undo; the message was already gone
-		return false, ErrDestructed
+// release drops a reference to incarnation gen and, on reaching zero,
+// destructs the message. It reports whether the message was destructed
+// by this call. Like retain it cannot touch a later incarnation.
+func (r *record) release(gen uint64) (bool, error) {
+	for {
+		w := r.life.Load()
+		if !liveAt(w, gen) {
+			return false, ErrDestructed
+		}
+		if r.life.CompareAndSwap(w, w-1) {
+			if w&refsMask > 1 {
+				return false, nil
+			}
+			r.destruct()
+			return true, nil
+		}
 	}
+}
+
+// destruct ends the incarnation whose last reference was just dropped:
+// the record leaves the index and is recycled. The zero count keeps
+// every other holder out, so the caller owns the record outright.
+func (r *record) destruct() {
 	r.mu.Lock()
 	prev := r.state
 	r.state = StateDestructed
@@ -352,57 +417,37 @@ func (r *record) release() (bool, error) {
 		c.Add(-1)
 	}
 	traceEmit(TraceDestruct, r, StateDestructed, 0)
-	switch {
-	case r.free != nil:
-		// Store-backed or external storage returns to its owner. In
-		// lifecycle-debug mode the incarnation is still tombstoned (for
-		// stale-pointer diagnostics) but without pinning the storage: the
-		// owner — not this process's allocator — decides when the range
-		// recirculates, so the quarantine window here is advisory.
-		if lifecycleDebug.Load() {
-			quarantine(r, nil)
-		}
-		r.free(r.raw)
-	case lifecycleDebug.Load():
-		// Quarantine instead of pooling so a dangling pointer into this
-		// arena is caught as ErrStaleGeneration, not silently resolved to
-		// whichever message is reissued at the same address.
-		quarantine(r, r.raw)
-	default:
-		m.pool.put(r.raw)
-	}
-	r.arena, r.raw, r.free = nil, nil, nil
-	return true, nil
+	m.recycle(r, lifecycleDebug.Load())
 }
 
 // grow extends the whole message that contains fieldAddr by n bytes,
 // aligned to align, zeroes the new region, and returns the region's offset
 // relative to fieldAddr (the value stored in a String/Vector descriptor).
 func grow(fieldAddr uintptr, n, align uint32) (rel uint32, region []byte, err error) {
-	r := gidx.lookup(fieldAddr)
-	if r == nil {
+	f, off := gidx.lookup(fieldAddr)
+	if f.rec == nil {
 		// In lifecycle-debug mode an index miss may be a dangling pointer
 		// into a quarantined (destructed) arena — report it as such.
 		return 0, nil, staleOrUnmanaged(fieldAddr)
 	}
 	var st State
-	rel, region, st, err = r.growInto(fieldAddr, n, align)
+	rel, region, st, err = f.growInto(uint32(off), n, align)
 	if err != nil {
 		return 0, nil, err
 	}
-	traceEmit(TraceGrow, r, st, int(n))
+	traceEmit(TraceGrow, f.rec, st, int(n))
 	return rel, region, nil
 }
 
-// growInto performs the arena extension under the record lock and
-// returns the state it observed, so the caller can emit trace events
-// after the lock is dropped.
-func (r *record) growInto(fieldAddr uintptr, n, align uint32) (rel uint32, region []byte, st State, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == StateDestructed {
-		return 0, nil, StateDestructed, ErrDestructed
+// growInto performs the arena extension for the field at offset fieldOff
+// under the record lock and returns the state it observed, so the caller
+// can emit trace events after the lock is dropped.
+func (f Ref) growInto(fieldOff, n, align uint32) (rel uint32, region []byte, st State, err error) {
+	r, err := f.enter()
+	if err != nil {
+		return 0, nil, StateDestructed, err
 	}
+	defer r.mu.Unlock()
 	start := alignUp(r.used, align)
 	capacity := uint32(len(r.arena))
 	if n > capacity || start > capacity-n {
@@ -427,8 +472,7 @@ func (r *record) growInto(fieldAddr uintptr, n, align uint32) (rel uint32, regio
 	r.mgr.grows.Add(1)
 	// The descriptor always precedes the region it points at, so the
 	// relative offset is positive and fits the paper's uint32 encoding.
-	rel = uint32(r.base + uintptr(start) - fieldAddr)
-	return rel, region, r.state, nil
+	return start - fieldOff, region, r.state, nil
 }
 
 // growTierLocked asks the record's backing store for an in-place arena

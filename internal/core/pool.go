@@ -18,12 +18,16 @@ const (
 	numClasses    = maxClassShift - minClassShift + 1
 )
 
-// bufPool recycles arena allocations in power-of-two size classes. The
-// paper frees message memory when the reference count reaches zero; the
-// pool turns that free into a recycle so steady-state publishing does not
-// allocate.
+// bufPool recycles records. The paper frees message memory when the
+// reference count reaches zero; the pool turns that free into a recycle
+// so steady-state publishing does not allocate. A record with heap
+// storage of an exact class size goes back to its class with the storage
+// still attached; a record whose storage had another owner (a backing
+// store, external memory, an over-max direct allocation) goes back bare.
+// Both are sync.Pools: what is not reused is the garbage collector's.
 type bufPool struct {
-	classes [numClasses]sync.Pool
+	classes [numClasses]sync.Pool // *record with class-sized heap storage
+	bare    sync.Pool             // *record without storage
 }
 
 // classFor returns the size-class slot for a raw allocation size, or -1 if
@@ -42,114 +46,169 @@ func classFor(n int) int {
 	return shift - minClassShift
 }
 
-// get returns a raw allocation of at least n bytes.
-func (p *bufPool) get(n int) []byte {
-	c := classFor(n)
-	if c < 0 {
-		// Over-max requests are allocated directly, rounded up to a
-		// multiple of arenaAlign so the alignment slice in GetBuffer can
-		// never come up short of the requested capacity.
-		return make([]byte, (n+arenaAlign-1)&^(arenaAlign-1))
+// misalign returns how many bytes into raw the first arenaAlign-aligned
+// byte sits.
+func misalign(raw []byte) int {
+	return int(-uintptr(unsafe.Pointer(&raw[0])) & (arenaAlign - 1))
+}
+
+// bareRecord returns a record without storage.
+func (p *bufPool) bareRecord(m *Manager) *record {
+	if v := p.bare.Get(); v != nil {
+		return v.(*record)
 	}
-	size := 1 << (c + minClassShift)
-	if v := p.classes[c].Get(); v != nil {
-		buf, ok := v.(*[]byte)
-		if ok && len(*buf) >= n {
-			return *buf
+	return &record{mgr: m}
+}
+
+// get returns a record owning heap storage with at least n usable,
+// arenaAlign-aligned bytes.
+func (p *bufPool) get(m *Manager, n int) *record {
+	size := (n + arenaAlign - 1) &^ (arenaAlign - 1) // over-max requests are allocated directly
+	if c := classFor(n); c >= 0 {
+		if v := p.classes[c].Get(); v != nil {
+			return v.(*record)
+		}
+		size = 1 << (c + minClassShift)
+	}
+	// The allocation is exactly the class size: padding it by arenaAlign-1
+	// up front pushed any capacity sitting exactly on a class boundary
+	// (1<<maxClassShift most visibly) out of its class. Go's allocator
+	// aligns []byte backing arrays of this size far beyond arenaAlign in
+	// practice, so the slack is almost never needed; the rare misaligned
+	// allocation is retried with padding (and, no longer a class size,
+	// is not pooled) instead of taxing every boundary-sized request.
+	raw := make([]byte, size)
+	off := misalign(raw)
+	if off != 0 {
+		raw = make([]byte, size+arenaAlign)
+		off = misalign(raw)
+	}
+	r := &record{mgr: m}
+	r.attach(raw, raw[off:off+size:off+size])
+	return r
+}
+
+// attach gives a bare record its storage.
+func (r *record) attach(raw, arena []byte) {
+	r.raw, r.arena = raw, arena
+	r.base = uintptr(unsafe.Pointer(&arena[0]))
+	r.end = r.base + uintptr(len(arena))
+}
+
+// lend starts an incarnation: the record, storage attached, goes out as a
+// loose buffer under a fresh generation.
+func (r *record) lend() Buffer {
+	gen := genCounter.Add(1)
+	r.mu.Lock()
+	r.gen, r.state, r.used, r.typ = gen, stateLoose, 0, nil
+	r.mu.Unlock()
+	r.life.Store(lifeWord(gen, 0))
+	return Buffer{rec: r, gen: gen}
+}
+
+// recycle disposes of a record whose incarnation ended: a destructed
+// message, or a buffer discarded unused. Storage that has an owner goes
+// back to it; class-sized heap storage stays attached to the record in
+// its class pool. With quarantined set (a message destructed in
+// lifecycle-debug mode) nothing recirculates: the heap allocation is
+// pinned by a tombstone and the record is left dead, so a stale handle
+// or field pointer is detected instead of resolving to a later occupant.
+// For store-backed and external storage the tombstone is advisory — the
+// owner, not this process's allocator, decides when the range is reused.
+func (m *Manager) recycle(r *record, quarantined bool) {
+	switch {
+	case r.hasShared:
+		if quarantined {
+			quarantine(r, nil)
+		}
+		r.bs.Release(r.shared, r.raw)
+	case r.extFree != nil:
+		if quarantined {
+			quarantine(r, nil)
+		}
+		r.extFree()
+	case quarantined:
+		quarantine(r, r.raw)
+	default:
+		if c := classFor(len(r.raw)); c >= 0 && len(r.raw) == 1<<(c+minClassShift) {
+			m.pool.classes[c].Put(r)
+			return
 		}
 	}
-	return make([]byte, size)
+	if quarantined {
+		return
+	}
+	r.raw, r.arena, r.base, r.end = nil, nil, 0, 0
+	r.bs, r.shared, r.hasShared, r.extFree = nil, 0, false, nil
+	m.pool.bare.Put(r)
 }
 
-// put returns a raw allocation to its size class. Oversized direct
-// allocations are dropped for the GC.
-func (p *bufPool) put(buf []byte) {
-	if buf == nil {
-		return
-	}
-	n := len(buf)
-	// Only exact class sizes are recycled; anything else was a direct
-	// allocation.
-	if n&(n-1) != 0 {
-		return
-	}
-	c := classFor(n)
-	if c < 0 || 1<<(c+minClassShift) != n {
-		return
-	}
-	p.classes[c].Put(&buf)
-}
-
-// Buffer is an aligned arena handle obtained from a Manager. Transports
-// read incoming frames directly into Bytes() and then Adopt the buffer as
-// a live message, so the socket read is the only copy on the receive path.
+// Buffer is a loose arena obtained from a Manager: storage that is not a
+// message yet. Transports read incoming frames directly into Bytes() and
+// then Adopt the buffer as a live message, so the socket read is the only
+// copy on the receive path. It is a value handle onto the pooled record
+// that will carry the message, stamped with the generation of this loan:
+// a copy used after Adopt or Discard finds the stamp spent and does
+// nothing.
 type Buffer struct {
-	raw   []byte
-	arena []byte
-	mgr   *Manager
-	// free, when non-nil, replaces the heap pool on the release path:
-	// store-backed and external arenas return to their owner, never to
-	// the pool. shared/hasShared carry the BackingStore handle through to
-	// the record for SharedHandleOf.
-	free      func([]byte)
-	shared    uint64
-	hasShared bool
-	bs        BackingStore // source store, for SharedHandleOf identity checks
+	rec *record
+	gen uint64
 }
 
 // GetBuffer returns an arena buffer with at least capacity usable bytes,
 // aligned to arenaAlign. When the Manager has a BackingStore, the store
 // is tried first; a declined request falls back to the heap pool.
-func (m *Manager) GetBuffer(capacity int) *Buffer {
+func (m *Manager) GetBuffer(capacity int) Buffer {
 	if capacity < 16 {
 		capacity = 16
 	}
 	if box := m.store.Load(); box != nil {
 		if raw, h, ok := box.bs.Acquire(capacity); ok {
-			bs := box.bs
-			return &Buffer{
-				raw:       raw,
-				arena:     raw,
-				mgr:       m,
-				free:      func(b []byte) { bs.Release(h, b) },
-				shared:    h,
-				hasShared: true,
-				bs:        bs,
-			}
+			r := m.pool.bareRecord(m)
+			r.attach(raw, raw)
+			r.bs, r.shared, r.hasShared = box.bs, h, true
+			return r.lend()
 		}
 	}
-	// Ask the pool for the exact capacity: padding the request by
-	// arenaAlign-1 up front pushed any capacity sitting exactly on a class
-	// boundary (1<<maxClassShift most visibly) into the next class — or
-	// out of the pool entirely. Go's allocator aligns []byte backing
-	// arrays of this size far beyond arenaAlign in practice, so the slack
-	// is almost never needed; the rare misaligned allocation is retried
-	// with padding instead of taxing every boundary-sized request.
-	raw := m.pool.get(capacity)
-	off := int((arenaAlign - (uintptr(unsafe.Pointer(&raw[0])) & (arenaAlign - 1))) & (arenaAlign - 1))
-	if len(raw)-off < capacity {
-		m.pool.put(raw)
-		raw = m.pool.get(capacity + arenaAlign - 1)
-		off = int((arenaAlign - (uintptr(unsafe.Pointer(&raw[0])) & (arenaAlign - 1))) & (arenaAlign - 1))
+	return m.pool.get(m, capacity).lend()
+}
+
+// loose locks the record while b is its current, unconsumed loan; the
+// caller unlocks. It returns nil for the zero Buffer and for a copy kept
+// past Adopt or Discard.
+func (b Buffer) loose() *record {
+	r := b.rec
+	if r == nil {
+		return nil
 	}
-	usable := len(raw) - off
-	return &Buffer{raw: raw, arena: raw[off : off+usable : off+usable], mgr: m}
+	r.mu.Lock()
+	if r.gen != b.gen || r.state != stateLoose {
+		r.mu.Unlock()
+		return nil
+	}
+	return r
 }
 
 // Bytes exposes the aligned arena storage. Callers fill it (e.g. from a
-// socket) before Adopt.
-func (b *Buffer) Bytes() []byte { return b.arena }
+// socket) before Adopt. It is nil once the buffer was adopted or
+// discarded.
+func (b Buffer) Bytes() []byte {
+	r := b.loose()
+	if r == nil {
+		return nil
+	}
+	defer r.mu.Unlock()
+	return r.arena
+}
 
 // Discard returns an unused buffer to its source (heap pool or backing
-// store). It must not be called after Adopt.
-func (b *Buffer) Discard() {
-	if b.raw == nil {
+// store). After Adopt, or a second time, it does nothing.
+func (b Buffer) Discard() {
+	r := b.loose()
+	if r == nil {
 		return
 	}
-	if b.free != nil {
-		b.free(b.raw)
-	} else {
-		b.mgr.pool.put(b.raw)
-	}
-	b.raw, b.arena, b.free = nil, nil, nil
+	r.state = StateDestructed
+	r.mu.Unlock()
+	r.mgr.recycle(r, false)
 }

@@ -44,9 +44,9 @@ func TestGetBufferExactClassBoundary(t *testing.T) {
 	m := NewManager()
 	for _, capacity := range []int{1 << 10, 1 << 20, 1 << 26} {
 		b := m.GetBuffer(capacity)
-		if len(b.raw) != capacity {
+		if len(b.rec.raw) != capacity {
 			t.Errorf("GetBuffer(%d) took a %d-byte raw allocation, want the exact class size",
-				capacity, len(b.raw))
+				capacity, len(b.rec.raw))
 		}
 		if len(b.Bytes()) < capacity {
 			t.Errorf("GetBuffer(%d) arena has only %d usable bytes", capacity, len(b.Bytes()))
@@ -55,8 +55,8 @@ func TestGetBufferExactClassBoundary(t *testing.T) {
 	}
 	// One past a boundary still selects the next class, not a short buffer.
 	b := m.GetBuffer(1<<20 + 1)
-	if len(b.raw) != 1<<21 {
-		t.Errorf("GetBuffer(1<<20+1) raw = %d bytes, want next class (1<<21)", len(b.raw))
+	if len(b.rec.raw) != 1<<21 {
+		t.Errorf("GetBuffer(1<<20+1) raw = %d bytes, want next class (1<<21)", len(b.rec.raw))
 	}
 	b.Discard()
 }
@@ -66,28 +66,28 @@ func TestGetBufferExactClassBoundary(t *testing.T) {
 // largest class — get must return at least that many bytes, and
 // GetBuffer's aligned arena must still cover the requested capacity.
 func TestPoolGetNeverShort(t *testing.T) {
-	var p bufPool
+	m := NewManager()
+	p := &m.pool
 	sizes := []int{1, 2, 1023, 1 << 10, 1<<10 + 1, 4096, 1<<26 - 1, 1 << 26, 1<<26 + 1, 1<<26 + 7}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		sizes = append(sizes, 1+rng.Intn(1<<20))
 	}
 	for _, n := range sizes {
-		buf := p.get(n)
-		if len(buf) < n {
-			t.Fatalf("pool.get(%d) returned %d bytes", n, len(buf))
+		r := p.get(m, n)
+		if len(r.arena) < n {
+			t.Fatalf("pool.get(%d) returned %d usable bytes", n, len(r.arena))
 		}
 		if c := classFor(n); c < 0 {
 			// Over-max direct allocations are rounded up to arenaAlign so
-			// the alignment slice in GetBuffer can never be short.
-			if len(buf)%arenaAlign != 0 {
-				t.Fatalf("pool.get(%d) over-max allocation has unaligned length %d", n, len(buf))
+			// the aligned arena can never be short.
+			if len(r.raw)%arenaAlign != 0 {
+				t.Fatalf("pool.get(%d) over-max allocation has unaligned length %d", n, len(r.raw))
 			}
 		}
-		p.put(buf)
+		r.lend().Discard()
 	}
 
-	m := NewManager()
 	for _, capacity := range []int{16, 1 << 10, 1<<10 + 1, 1 << 26, 1<<26 + 1} {
 		b := m.GetBuffer(capacity)
 		if len(b.Bytes()) < capacity {

@@ -102,7 +102,7 @@ func traceEmit(op TraceOp, r *record, st State, bytes int) {
 		Gen:   r.gen,
 		Type:  typeName(r.typ),
 		State: st,
-		Refs:  r.refs.Load(),
+		Refs:  int32(r.life.Load() & refsMask),
 		Bytes: bytes,
 		Time:  time.Now(),
 	})

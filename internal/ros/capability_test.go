@@ -40,8 +40,7 @@ func capsEndpoint(sfm bool, typeName string, store *shm.Store) (*pubEndpoint, *o
 		typeName: typeName,
 		md5:      "00000000000000000000000000000000",
 		sfm:      sfm,
-		conns:    make(map[*pubConn]struct{}),
-		inproc:   make(map[inprocTarget]uint64),
+		att:      &attachments{},
 	}, reg
 }
 

@@ -138,14 +138,14 @@ func (b *egressBatch) full() bool {
 }
 
 // add accepts one queued item into the batch. The write attempt is now
-// imminent, so any shm undo is cleared here: once bytes may reach the
+// imminent, so the shm unshare is cleared here: once bytes may reach the
 // subscriber, the peer (or its lease reaper) owns the descriptor's
 // reference.
 func (b *egressBatch) add(it frameItem) {
-	it.undo = nil
+	it.unshare = nil
 	b.items[b.n] = it
 	b.n++
-	b.bytes += len(it.bytes())
+	b.bytes += len(it.data)
 }
 
 // flush encodes every batched frame into write vectors and ships them
@@ -169,7 +169,7 @@ func (b *egressBatch) flush() bool {
 	wireBytes := 0
 	for i := 0; i < b.n; i++ {
 		it := &b.items[i]
-		p := it.bytes()
+		p := it.data
 		tag := it.tag
 		if b.tagged && tag == 0 {
 			tag = tagInline // latched items carry message bytes
@@ -231,7 +231,7 @@ func (b *egressBatch) flush() bool {
 		st.BytesPerWrite.Observe(int64(wireBytes))
 	}
 	// Drop payload references so a quiet connection doesn't pin the last
-	// batch's arenas, and release the items (arena refs; undos are
+	// batch's arenas, and release the items (arena refs; unshares are
 	// already cleared).
 	for i := range vecs {
 		vecs[i] = nil

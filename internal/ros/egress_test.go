@@ -42,10 +42,7 @@ func (c captureConn) SetWriteDeadline(time.Time) error { return nil }
 // tcp_1m_sfm workload in BENCHMARK.json).
 func TestPublishSFMHashesOncePerFanout(t *testing.T) {
 	for _, fanout := range []int{1, 2, 8} {
-		ep := &pubEndpoint{
-			conns:  make(map[*pubConn]struct{}),
-			inproc: make(map[inprocTarget]uint64),
-		}
+		ep := &pubEndpoint{att: &attachments{}}
 		conns := make([]*pubConn, 0, fanout)
 		for i := 0; i < fanout; i++ {
 			pc := &pubConn{
@@ -53,7 +50,7 @@ func TestPublishSFMHashesOncePerFanout(t *testing.T) {
 				ch:   make(chan frameItem, fanout),
 				stop: make(chan struct{}),
 			}
-			ep.conns[pc] = struct{}{}
+			ep.att.conns = append(ep.att.conns, pc)
 			conns = append(conns, pc)
 		}
 

@@ -85,10 +85,10 @@ func (b *sparseBatch) full() bool {
 }
 
 func (b *sparseBatch) add(it frameItem) {
-	it.undo = nil
+	it.unshare = nil
 	b.items[b.n] = it
 	b.n++
-	b.bytes += len(it.bytes())
+	b.bytes += len(it.data)
 }
 
 // flush encodes every batched message as a sparse (or per-message
@@ -107,7 +107,7 @@ func (b *sparseBatch) flush() bool {
 	b.tables = b.tables[:0]
 	wireBytes := 0
 	for i := 0; i < b.n; i++ {
-		p := b.items[i].bytes()
+		p := b.items[i].data
 		rs, rerr := b.mask.AppendRanges(b.ranges[:0], p)
 		sparseLen := 0
 		useSparse := rerr == nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,8 +128,7 @@ func newPubEndpoint(n *Node, topic, typeName, md5 string, sfm bool, endianName s
 		egressShards: cfg.egressShards,
 		endianName:   endianName,
 		stats:        n.metrics.Publisher(topic),
-		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[inprocTarget]uint64),
+		att:          &attachments{},
 	}
 	if err := n.registerPub(topic, ep); err != nil {
 		return nil, err
@@ -190,141 +190,36 @@ func (p *Publisher[T]) Publish(m *T) error {
 	if ep.latch {
 		l = &latchedMsg{frame: w.Bytes()}
 	}
-	ep.fanoutFrame(w.Bytes(), l)
+	ep.fanout(w.Bytes(), nil, core.Ref{}, l)
 	return nil
 }
 
 // publishSFM distributes an arena-backed message without serialization.
-//
-// When the topic latches, the new latch is built BEFORE the fan-out
-// snapshot and installed inside the same critical section that captures
-// the connection set. Installing it after the fan-out (the old order)
-// left a window in which a subscriber accepted mid-publish received the
-// previous latched message and permanently missed the newest one.
+// The message is resolved once: hold is the publish's own reference, the
+// view it returns is what every consumer ships, and each consumer's
+// reference is retained through hold — no further address lookup, no
+// further trip through the record lock.
 func publishSFM[T any](ep *pubEndpoint, m *T) error {
-	if err := core.MarkPublished(m); err != nil {
+	hold, err := core.NewRef(m)
+	if err != nil {
+		return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
+	}
+	defer hold.Release()
+	frame, err := hold.Publish()
+	if err != nil {
 		return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
 	}
 	var l *latchedMsg
 	if ep.latch {
-		// The latch holds its own reference; the closures mint more for
-		// each late subscriber, which is safe while that hold exists.
-		hold, err := core.NewRef(m)
+		// The latch holds its own reference; later consumers retain
+		// through it, which is safe while that hold exists.
+		ref, err := hold.Retain()
 		if err != nil {
 			return fmt.Errorf("ros: latch %s: %w", ep.typeName, err)
 		}
-		mm := m
-		l = &latchedMsg{
-			mkItem: func() (frameItem, error) {
-				r, err := core.NewRef(mm)
-				if err != nil {
-					return frameItem{}, err
-				}
-				return frameItem{ref: &r}, nil
-			},
-			mkShared: func() (any, func(), bool) {
-				if core.Retain(mm) != nil {
-					return nil, nil, false
-				}
-				return any(mm), func() { core.Release(mm) }, true
-			},
-			drop: func() { hold.Release() },
-		}
+		l = &latchedMsg{frame: frame, msg: m, ref: ref}
 	}
-	// One checksum pass per publish: the memoizer hashes the arena on the
-	// first consumer that needs each framing variant and every later one
-	// reuses the stamped value. When the shard pool is live the plain
-	// variant is computed here, OUTSIDE the endpoint lock, so the
-	// per-shard items minted inside the snapshot's critical section only
-	// copy the memoized value.
-	var crcs pubCRC
-	poolActive := ep.poolActive.Load()
-	if poolActive {
-		if r, err := core.NewRef(m); err == nil {
-			crcs.plain(r.Bytes())
-			r.Release()
-		}
-	}
-	mkShard := func() (frameItem, bool) {
-		r, err := core.NewRef(m)
-		if err != nil {
-			return frameItem{}, false
-		}
-		it := frameItem{ref: &r}
-		it.crc, it.crcOK = crcs.plain(r.Bytes()), true
-		return it, true
-	}
-	conns, targets, prev := ep.snapshotForPublish(l, mkShard)
-	if prev != nil && prev.drop != nil {
-		prev.drop()
-	}
-
-	// At fan-out 1 stamping is skipped (unless the hash already exists):
-	// memoization saves nothing with one consumer, and computing the
-	// checksum here would serialise it with the publish loop instead of
-	// overlapping it with the next publish on the connection's writer
-	// goroutine.
-	stamp := len(conns) > 1 || crcs.plainOK
-	for _, c := range conns {
-		if c.shm != nil {
-			// Zero-copy path: the subscriber gets a 24-byte descriptor into
-			// the shared slot the message lives in — natively, or via a
-			// copy-once promotion for heap-backed arenas.
-			it, promoted, outcome := shmItemFor(c, m)
-			if promoted {
-				if st := ep.node.shmStats(); st != nil {
-					st.Promotions.Inc()
-				}
-			}
-			if outcome == shmShared {
-				c.enqueue(it)
-				continue
-			}
-			// No shared slot to point at: the bytes travel inline, still
-			// framed for the tagged connection, and the fallback is
-			// counted by reason (and eventually warned about) — silent
-			// degradation off the descriptor path is a bug signal.
-			used, _ := core.UsedSize(m)
-			ep.noteShmFallback(used, outcome)
-			ref, err := core.NewRef(m)
-			if err != nil {
-				return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
-			}
-			it = frameItem{ref: &ref, tag: tagInline}
-			if stamp {
-				it.crc, it.crcOK = crcs.inline(ref.Bytes()), true
-			}
-			c.enqueue(it)
-			continue
-		}
-		ref, err := core.NewRef(m)
-		if err != nil {
-			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
-		}
-		it := frameItem{ref: &ref}
-		if stamp {
-			it.crc, it.crcOK = crcs.plain(ref.Bytes()), true
-		}
-		c.enqueue(it)
-	}
-	for _, t := range targets {
-		if err := core.Retain(m); err != nil {
-			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
-		}
-		mm := m // capture for the release closure
-		t.deliverShared(any(mm), func() { core.Release(mm) })
-	}
-
-	if st := ep.stats; st != nil {
-		st.Messages.Inc()
-		if n, err := core.UsedSize(m); err == nil {
-			st.Bytes.Add(uint64(n))
-		}
-		st.FanOut.Set(int64(len(conns) + len(targets) + ep.shardFanout()))
-		if l != nil {
-			st.Latched.Set(1)
-		}
-	}
+	ep.fanout(frame, m, hold, l)
 	return nil
 }
 
@@ -359,9 +254,10 @@ func (ep *pubEndpoint) noteShmFallback(used int, outcome shmOutcome) {
 
 // inprocTarget is a same-process subscriber attachment.
 type inprocTarget interface {
-	// deliverShared hands over a shared serialization-free message; the
-	// target must call release exactly once when done.
-	deliverShared(m any, release func())
+	// deliverShared hands over a shared serialization-free message of
+	// size bytes together with a reference to it; the target releases
+	// ref exactly once when done.
+	deliverShared(m any, ref core.Ref, size int)
 	// deliverFrame hands over a frame in the endpoint's wire regime: a
 	// serialized ROS1 message, or (from a raw SFM publisher) an arena
 	// image in the byte order srcLittle names. The frame must not be
@@ -369,46 +265,54 @@ type inprocTarget interface {
 	deliverFrame(frame []byte, srcLittle bool)
 }
 
-// frameItem is one outbound queue entry: a plain serialized frame, a
-// reference-counted view of an SFM arena, or (on shm connections) an
-// encoded shared-memory descriptor. tag selects the transport framing
-// on tagged connections; zero means untagged/inline. undo, when set,
-// returns the shm peer reference minted for a descriptor that never
+// frameItem is one outbound queue entry. data is what goes on the wire:
+// a plain serialized frame, the view of an SFM arena resolved at publish
+// and pinned by ref, or (on shm connections) an encoded shared-memory
+// descriptor. tag selects the transport framing on tagged connections;
+// zero means untagged/inline. unshare, when set, names the shm grant
+// whose peer reference to slot was minted for a descriptor that has not
 // reached the wire — the write loop clears it before the first write
 // attempt, because after any byte may have reached the subscriber the
 // reference belongs to the peer (or, if the peer died, to its lease
-// reaper), never to an undo.
+// reaper), never to the publisher.
 type frameItem struct {
 	data []byte
-	ref  *core.Ref
+	ref  core.Ref // zero unless data views an arena
 	tag  byte
 	// crc, when crcOK, is the frame checksum precomputed at publish time
 	// — over the payload on plain connections, over tag||payload on
 	// tagged ones — so N-subscriber fan-out hashes the arena once
 	// instead of once per connection. crcOK false (latched items, fan-out
 	// 1) makes the write loop compute it.
-	crc   uint32
-	crcOK bool
-	undo  func()
+	crc     uint32
+	crcOK   bool
+	unshare *shmSender
+	slot    uint64
 }
 
-func (it frameItem) bytes() []byte {
-	if it.ref != nil {
-		return it.ref.Bytes()
+// dup returns a copy of the item that holds its own reference to the
+// arena (the original's is only borrowed). It fails once the message is
+// destructed.
+func (it frameItem) dup() (frameItem, bool) {
+	if it.ref.IsZero() {
+		return it, true
 	}
-	return it.data
+	ref, err := it.ref.Retain()
+	if err != nil {
+		return frameItem{}, false
+	}
+	it.ref = ref
+	return it, true
 }
 
 // release disposes of an item that is leaving the queue unsent (or, for
 // ref-only items, after its send): the arena reference drops and any
 // unsent descriptor's peer reference is returned.
 func (it frameItem) release() {
-	if it.undo != nil {
-		it.undo()
+	if sh := it.unshare; sh != nil {
+		sh.store.Unshare(it.slot, sh.peer, sh.gen)
 	}
-	if it.ref != nil {
-		it.ref.Release()
-	}
+	it.ref.Release() //nolint:errcheck // items without an arena hold the zero Ref
 }
 
 // pubEndpoint is the type-erased per-topic publisher state serving all
@@ -445,121 +349,137 @@ type pubEndpoint struct {
 	maskRejectWarned atomic.Bool
 
 	mu sync.Mutex
-	// pubSeq numbers publishes. Each attachment remembers the sequence
-	// of the last publish whose fan-out included it (pubConn.latchSeen,
-	// the inproc map value), so latched delivery to a late subscriber
-	// can tell "already received via fan-out" from "needs the latch" —
-	// giving exactly-once delivery of the newest message.
+	// pubSeq numbers publishes. An attachment notes the sequence current
+	// when it joined, so latched delivery to a late subscriber can tell
+	// "the latch's publish already fanned out to me" from "needs the
+	// latch" — giving exactly-once delivery of the newest message.
 	pubSeq  uint64
-	conns   map[*pubConn]struct{}
-	inproc  map[inprocTarget]uint64 // value: latchSeen sequence
-	pool    *egressShardPool        // non-nil once sharded fan-out engaged
+	att     *attachments     // replaced, never edited, on attach/detach
+	pool    *egressShardPool // non-nil once sharded fan-out engaged
 	latched *latchedMsg
 	closed  bool
 
 	wg sync.WaitGroup
 }
 
-// latchedMsg retains the last published message for late subscribers.
-// For SFM messages the closures mint fresh arena references per
-// consumer; for regular messages frame is the immutable serialized
-// form.
-type latchedMsg struct {
-	seq      uint64                     // pubSeq of the publish that latched it
-	frame    []byte                     // regular path
-	mkItem   func() (frameItem, error)  // SFM: per-connection queue item
-	mkShared func() (any, func(), bool) // SFM: intra-process delivery
-	drop     func()                     // release the latch's own hold
+// attachments is an immutable snapshot of an endpoint's fan-out set:
+// the connections with a dedicated write loop and the same-process
+// targets. Attach and detach install a new one (copy-on-write, under
+// ep.mu), so a publish takes the current snapshot as it stands instead
+// of rebuilding the set per message.
+type attachments struct {
+	conns   []*pubConn
+	targets []inprocTarget
 }
 
-// snapshotForPublish captures the fan-out set and, when l is non-nil,
+// added returns s with x appended, in fresh storage.
+func added[T any](s []T, x T) []T {
+	return append(slices.Clip(s), x)
+}
+
+// removed returns s without x, in fresh storage; s itself when x is not
+// in it.
+func removed[T comparable](s []T, x T) []T {
+	i := slices.Index(s, x)
+	if i < 0 {
+		return s
+	}
+	return slices.Delete(slices.Clone(s), i, i+1)
+}
+
+// latchedMsg retains the last published message for late subscribers:
+// frame is what they are sent — the immutable serialized form, or an SFM
+// arena view. For SFM messages ref is the latch's own hold on the arena
+// (each consumer retains through it) and msg the typed message for
+// intra-process delivery.
+type latchedMsg struct {
+	seq   uint64 // pubSeq of the publish that latched it
+	frame []byte
+	msg   any
+	ref   core.Ref
+}
+
+// drop releases the latch's own hold. The latch may still be read by a
+// late subscriber that picked it up just before it was replaced, so the
+// handle is released through a copy; that subscriber's retain then fails
+// and it gets nothing, as when the message was already destructed.
+func (l *latchedMsg) drop() {
+	ref := l.ref
+	ref.Release() //nolint:errcheck // regular latches hold the zero Ref
+}
+
+// snapshotForPublish takes the fan-out set and, when l is non-nil,
 // installs it as the new latch — in ONE critical section. This is the
 // fix for the latched-publish race: with the latch installed after the
 // fan-out, a subscriber accepted in between received the previous
-// latched message and missed the newest until the next publish. Every
-// snapshotted attachment is stamped with this publish's sequence so the
+// latched message and missed the newest until the next publish. The
+// publish takes the next sequence number in the same section, and every
+// attachment in the snapshot joined under an earlier one, so the
 // latched-delivery paths can skip attachments the fan-out already
 // covered (no duplicate of the newest message either). The previous
 // latch is returned for the caller to drop outside the lock.
 //
 // When the shard pool is live, the same critical section enqueues one
-// item per shard (minted by mkShard), so shard delivery order agrees
-// with join order and the latch sequence — the sharded analogue of the
-// conns snapshot. A publish that races close loses: nothing is
-// snapshotted or enqueued, and the caller's uninstalled latch comes
-// back as prev so its hold is released.
-func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameItem, bool)) (conns []*pubConn, targets []inprocTarget, prev *latchedMsg) {
+// copy of perShard per shard, so shard delivery order agrees with join
+// order and the latch sequence — the sharded analogue of the snapshot.
+// A publish that races close loses: nothing is snapshotted or enqueued,
+// and the caller's uninstalled latch comes back as prev so its hold is
+// released.
+func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, perShard frameItem) (att *attachments, prev *latchedMsg) {
 	ep.mu.Lock()
+	defer ep.mu.Unlock()
 	if ep.closed {
-		ep.mu.Unlock()
-		return nil, nil, l
+		return ep.att, l // emptied by close
 	}
 	ep.pubSeq++
-	seq := ep.pubSeq
-	conns = make([]*pubConn, 0, len(ep.conns))
-	for c := range ep.conns {
-		conns = append(conns, c)
-		c.latchSeen = seq
-	}
-	targets = make([]inprocTarget, 0, len(ep.inproc))
-	for t := range ep.inproc {
-		targets = append(targets, t)
-		ep.inproc[t] = seq
-	}
-	if ep.pool != nil && mkShard != nil {
+	if ep.pool != nil {
 		for _, s := range ep.pool.shards {
-			it, ok := mkShard()
+			it, ok := perShard.dup()
 			if !ok {
 				break
 			}
-			s.enqueue(shardItem{seq: seq, it: it})
+			s.enqueue(shardItem{seq: ep.pubSeq, it: it})
 		}
 	}
 	if l != nil {
-		l.seq = seq
+		l.seq = ep.pubSeq
 		prev = ep.latched
 		ep.latched = l
 	}
-	ep.mu.Unlock()
-	return conns, targets, prev
+	return ep.att, prev
 }
 
-// deliverLatchedTCP enqueues the retained message on a new connection,
-// unless the connection already received it through a publish fan-out.
-func (ep *pubEndpoint) deliverLatchedTCP(pc *pubConn) {
+// deliverLatchedTCP enqueues the retained message on a connection that
+// joined at publish sequence joined, unless a later publish — whose
+// fan-out included the connection — has replaced the latch since.
+func (ep *pubEndpoint) deliverLatchedTCP(pc *pubConn, joined uint64) {
 	ep.mu.Lock()
 	l := ep.latched
-	if l == nil || pc.latchSeen >= l.seq {
-		ep.mu.Unlock()
+	ep.mu.Unlock()
+	if l == nil || l.seq > joined {
 		return
 	}
-	pc.latchSeen = l.seq
-	ep.mu.Unlock()
 	if it, ok := latchItemFor(l); ok {
 		pc.enqueue(it)
 	}
 }
 
 // deliverLatchedInproc hands the retained message to a new same-process
-// subscriber, with the same already-seen dedup as the TCP path.
-func (ep *pubEndpoint) deliverLatchedInproc(t inprocTarget) {
+// subscriber, with the same already-covered dedup as the TCP path.
+func (ep *pubEndpoint) deliverLatchedInproc(t inprocTarget, joined uint64) {
 	ep.mu.Lock()
 	l := ep.latched
-	seen, attached := ep.inproc[t]
-	if l == nil || !attached || seen >= l.seq {
-		ep.mu.Unlock()
-		return
-	}
-	ep.inproc[t] = l.seq
+	attached := slices.Contains(ep.att.targets, t)
 	ep.mu.Unlock()
-	if l.mkShared != nil {
-		if m, release, ok := l.mkShared(); ok {
-			t.deliverShared(m, release)
-		}
+	if l == nil || !attached || l.seq > joined {
 		return
 	}
-	if l.frame != nil {
+	if l.msg == nil {
 		t.deliverFrame(l.frame, ep.endianName != endianBig)
+		return
+	}
+	if ref, err := l.ref.Retain(); err == nil {
+		t.deliverShared(l.msg, ref, len(l.frame))
 	}
 }
 
@@ -571,7 +491,7 @@ func (ep *pubEndpoint) isClosed() bool {
 
 func (ep *pubEndpoint) numSubscribers() int {
 	ep.mu.Lock()
-	n := len(ep.conns) + len(ep.inproc)
+	n := len(ep.att.conns) + len(ep.att.targets)
 	p := ep.pool
 	ep.mu.Unlock()
 	if p != nil {
@@ -595,49 +515,77 @@ func (ep *pubEndpoint) shardFanout() int {
 	return p.memberCount()
 }
 
-// fanoutFrame distributes a serialized frame to all attachments and,
-// when l is non-nil, installs it as the new latch atomically with the
-// fan-out snapshot (see snapshotForPublish). The frame is shared
-// read-only; it must not be mutated afterwards.
-func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
-	// Hash the frame once per framing variant, not once per connection
-	// (raw SFM publishers can negotiate shm, so tagged connections are
-	// possible here too). With the shard pool live the plain variant is
-	// memoized here, outside the lock, for the per-shard items.
+// fanout distributes one publish to all attachments and, when l is
+// non-nil, installs it as the new latch atomically with the fan-out
+// snapshot (see snapshotForPublish). frame is what travels: a serialized
+// frame, shared read-only and not to be mutated afterwards, or — with
+// msg and hold set — the view of an SFM arena, which every consumer pins
+// with a reference of its own retained through hold.
+func (ep *pubEndpoint) fanout(frame []byte, msg any, hold core.Ref, l *latchedMsg) {
+	// One checksum pass per publish and framing variant, not one per
+	// connection: the memoizer hashes the bytes on the first consumer
+	// that needs each variant and every later one reuses the stamped
+	// value. When the shard pool is live the plain variant is computed
+	// here, OUTSIDE the endpoint lock, so the per-shard items minted
+	// inside the snapshot's critical section only copy the memoized
+	// value.
 	var crcs pubCRC
+	base := frameItem{data: frame, ref: hold} // hold is borrowed: consumers get dups
+	perShard := base
 	if ep.poolActive.Load() {
-		crcs.plain(frame)
+		perShard.crc, perShard.crcOK = crcs.plain(frame), true
 	}
-	mkShard := func() (frameItem, bool) {
-		it := frameItem{data: frame}
-		it.crc, it.crcOK = crcs.plain(frame), true
-		return it, true
-	}
-	conns, targets, prev := ep.snapshotForPublish(l, mkShard)
-	if prev != nil && prev.drop != nil {
+	att, prev := ep.snapshotForPublish(l, perShard)
+	if prev != nil {
 		prev.drop()
 	}
-	// Stamping at fan-out 1 is skipped for the same pipelining reason as
-	// the SFM path, unless the hash already exists.
-	stamp := len(conns) > 1 || crcs.plainOK
-	for _, c := range conns {
-		it := frameItem{data: frame}
-		if stamp {
-			if c.shm != nil {
-				it.crc, it.crcOK = crcs.inline(frame), true
-			} else {
-				it.crc, it.crcOK = crcs.plain(frame), true
+
+	// At fan-out 1 stamping is skipped (unless the hash already exists):
+	// memoization saves nothing with one consumer, and computing the
+	// checksum here would serialise it with the publish loop instead of
+	// overlapping it with the next publish on the connection's writer
+	// goroutine.
+	stamp := len(att.conns) > 1 || crcs.plainOK
+	for _, c := range att.conns {
+		if c.shm != nil && msg != nil {
+			// Zero-copy path: the subscriber gets a 24-byte descriptor into
+			// the shared slot the message lives in — natively, or via a
+			// copy-once promotion for heap-backed arenas. With no shared
+			// slot to point at the bytes travel inline, below.
+			if it, ok := ep.shmItemFor(c, hold, len(frame)); ok {
+				c.enqueue(it)
+				continue
 			}
+		}
+		it, ok := base.dup()
+		if !ok {
+			continue
+		}
+		switch {
+		case c.shm != nil:
+			// Tagged connections (raw SFM publishers can negotiate shm
+			// too) frame message bytes as tagInline||bytes.
+			it.tag = tagInline
+			if stamp {
+				it.crc, it.crcOK = crcs.inline(frame), true
+			}
+		case stamp:
+			it.crc, it.crcOK = crcs.plain(frame), true
 		}
 		c.enqueue(it)
 	}
-	for _, t := range targets {
-		t.deliverFrame(frame, ep.endianName != endianBig)
+	for _, t := range att.targets {
+		if msg == nil {
+			t.deliverFrame(frame, ep.endianName != endianBig)
+		} else if ref, err := hold.Retain(); err == nil {
+			t.deliverShared(msg, ref, len(frame))
+		}
 	}
+
 	if st := ep.stats; st != nil {
 		st.Messages.Inc()
 		st.Bytes.Add(uint64(len(frame)))
-		st.FanOut.Set(int64(len(conns) + len(targets) + ep.shardFanout()))
+		st.FanOut.Set(int64(len(att.conns) + len(att.targets) + ep.shardFanout()))
 		if l != nil {
 			st.Latched.Set(1)
 		}
@@ -709,7 +657,7 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 	// section, so a concurrent publish either precedes the join (lastSeq
 	// covers it) or follows the latch in the shard's queue.
 	if a.mode == modePlain && ep.egressShards >= 0 &&
-		(ep.pool != nil || ep.egressShards > 0 || len(ep.conns) >= autoShardThreshold) {
+		(ep.pool != nil || ep.egressShards > 0 || len(ep.att.conns) >= autoShardThreshold) {
 		if ep.pool == nil {
 			n := ep.egressShards
 			if n == 0 {
@@ -721,7 +669,6 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 		s := ep.pool.join(pc)
 		if l := ep.latched; l != nil {
 			if it, ok := latchItemFor(l); ok {
-				pc.latchSeen = l.seq
 				s.enqueue(shardItem{seq: l.seq, only: pc, it: it})
 			}
 		}
@@ -729,7 +676,8 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 		return nil
 	}
 	pc.ch = make(chan frameItem, ep.queueSize)
-	ep.conns[pc] = struct{}{}
+	ep.att = &attachments{conns: added(ep.att.conns, pc), targets: ep.att.targets}
+	joined := ep.pubSeq
 	ep.mu.Unlock()
 
 	ep.wg.Add(1)
@@ -738,20 +686,13 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 		pc.writeLoop()
 		ep.dropConn(pc)
 	}()
-	ep.deliverLatchedTCP(pc)
+	ep.deliverLatchedTCP(pc, joined)
 	return nil
 }
 
 // latchItemFor builds a queue item carrying the latched message.
 func latchItemFor(l *latchedMsg) (frameItem, bool) {
-	if l.mkItem != nil {
-		it, err := l.mkItem()
-		return it, err == nil
-	}
-	if l.frame != nil {
-		return frameItem{data: l.frame}, true
-	}
-	return frameItem{}, false
+	return frameItem{data: l.frame, ref: l.ref}.dup()
 }
 
 // attachInproc adds a same-process subscriber. The subscriber's wire
@@ -765,9 +706,12 @@ func (ep *pubEndpoint) attachInproc(t inprocTarget, sfm bool) error {
 		ep.mu.Unlock()
 		return errors.New("ros: publisher closed")
 	}
-	ep.inproc[t] = 0
+	if !slices.Contains(ep.att.targets, t) {
+		ep.att = &attachments{conns: ep.att.conns, targets: added(ep.att.targets, t)}
+	}
+	joined := ep.pubSeq
 	ep.mu.Unlock()
-	ep.deliverLatchedInproc(t)
+	ep.deliverLatchedInproc(t, joined)
 	return nil
 }
 
@@ -775,12 +719,12 @@ func (ep *pubEndpoint) attachInproc(t inprocTarget, sfm bool) error {
 func (ep *pubEndpoint) detachInproc(t inprocTarget) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	delete(ep.inproc, t)
+	ep.att = &attachments{conns: ep.att.conns, targets: removed(ep.att.targets, t)}
 }
 
 func (ep *pubEndpoint) dropConn(pc *pubConn) {
 	ep.mu.Lock()
-	delete(ep.conns, pc)
+	ep.att = &attachments{conns: removed(ep.att.conns, pc), targets: ep.att.targets}
 	ep.mu.Unlock()
 	pc.teardown()
 }
@@ -844,18 +788,14 @@ func (ep *pubEndpoint) close() {
 		return
 	}
 	ep.closed = true
-	conns := make([]*pubConn, 0, len(ep.conns))
-	for c := range ep.conns {
-		conns = append(conns, c)
-	}
-	ep.conns = make(map[*pubConn]struct{})
-	ep.inproc = make(map[inprocTarget]uint64)
+	conns := ep.att.conns
+	ep.att = &attachments{}
 	pool := ep.pool
 	latched := ep.latched
 	ep.latched = nil
 	ep.mu.Unlock()
 
-	if latched != nil && latched.drop != nil {
+	if latched != nil {
 		latched.drop()
 	}
 
@@ -885,10 +825,6 @@ type pubConn struct {
 	mask         *fieldwire.Mask     // non-nil on connections that negotiated a field mask
 	fw           *obs.FieldwireStats // nil when metrics are disabled
 	ch           chan frameItem
-
-	// latchSeen is the pubSeq of the last publish whose fan-out included
-	// this connection; guarded by the owning endpoint's mu.
-	latchSeen uint64
 
 	// lastSeq is the newest broadcast sequence already written to a
 	// SHARDED connection — the delivery gate of shard.go. It is accessed

@@ -3,7 +3,6 @@ package ros
 import (
 	"errors"
 	"io"
-	"time"
 
 	"rossf/internal/core"
 	"rossf/internal/fieldwire"
@@ -129,22 +128,23 @@ type sfmConn[T any] struct {
 	srcLittle bool
 }
 
-// adopt makes a verified arena image a live message and dispatches it.
-// wireLen is what the instruments record, so masked links show the
-// on-wire saving rather than the materialized size.
-func (c *sfmConn[T]) adopt(buf *core.Buffer, n, wireLen int) error {
+// adopt makes a verified message image — the first len(image) bytes of
+// buf — a live message and dispatches it. wireLen is what the
+// instruments record, so masked links show the on-wire saving rather
+// than the materialized size.
+func (c *sfmConn[T]) adopt(buf core.Buffer, image []byte, wireLen int) error {
 	// §4.4.1: the message arrives in the publisher's byte order; the
 	// subscriber converts only on mismatch.
-	if err := core.ConvertEndianness(buf.Bytes()[:n], c.r.layout, c.srcLittle); err != nil {
+	if err := core.ConvertEndianness(image, c.r.layout, c.srcLittle); err != nil {
 		buf.Discard()
 		return err
 	}
-	m, err := core.Adopt[T](buf, n)
+	m, ref, err := core.AdoptRef[T](buf, len(image))
 	if err != nil {
 		buf.Discard()
 		return nil
 	}
-	c.r.deliverAdopted(m, wireLen)
+	c.r.sub.dispatch(delivery{to: c.r, msg: m, ref: ref, size: wireLen})
 	return nil
 }
 
@@ -152,12 +152,13 @@ func (c *sfmConn[T]) adopt(buf *core.Buffer, n, wireLen int) error {
 // adopts it with zero transformation (prefix as in pump.into).
 func (c *sfmConn[T]) receive(rx *pump, n int, prefix []byte, crc uint32) (bool, error) {
 	buf := c.r.mgr.GetBuffer(n)
-	ok, err := rx.into(buf.Bytes()[:n], prefix, crc)
+	image := buf.Bytes()[:n]
+	ok, err := rx.into(image, prefix, crc)
 	if !ok || err != nil {
 		buf.Discard()
 		return ok, err
 	}
-	return true, c.adopt(buf, n, n)
+	return true, c.adopt(buf, image, n)
 }
 
 // decode is the plain decoder: the frame is the message.
@@ -219,7 +220,7 @@ func (d *sfmTaggedDecoder[T]) decode(rx *pump, n int, crc uint32) (bool, error) 
 			release()
 			return true, nil
 		}
-		return true, d.adopt(buf, len(mem), len(mem))
+		return true, d.adopt(buf, mem, len(mem))
 	case d.tag[0] == tagInline:
 		return d.receive(rx, body, d.tag[:], crc)
 	}
@@ -288,11 +289,12 @@ func (d *sparseDecoder) decode(rx *pump, n int, crc uint32) (bool, error) {
 
 func (c *sfmConn[T]) deliverSparse(dec *fieldwire.Decoder, payload []byte, fullSize int) (bool, error) {
 	buf := c.r.mgr.GetBuffer(fullSize)
-	if err := dec.Materialize(payload, buf.Bytes()[:fullSize]); err != nil {
+	image := buf.Bytes()[:fullSize]
+	if err := dec.Materialize(payload, image); err != nil {
 		buf.Discard()
 		return false, nil
 	}
-	return true, c.adopt(buf, fullSize, len(payload))
+	return true, c.adopt(buf, image, len(payload))
 }
 
 // rawConn is one publisher link of a raw subscription.
@@ -304,20 +306,14 @@ type rawConn struct {
 	image  scratchBuf // materialized sparse messages (rostopic echo/bw -fields)
 }
 
-// deliver hands wireLen wire bytes' worth of frame to the callback. The
-// callback runs synchronously, so frame may sit in the batch buffer.
+// deliver hands wireLen wire bytes' worth of frame to the callback. Raw
+// subscriptions are synchronous, so frame may sit in the batch buffer.
 func (c *rawConn) deliver(frame []byte, wireLen int) {
-	st := c.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	c.cb(RawMessage{Frame: frame, Format: c.format, LittleEndian: c.little})
-	if st != nil {
-		st.Messages.Inc()
-		st.Bytes.Add(uint64(wireLen))
-		st.Latency.Observe(time.Since(t0))
-	}
+	c.sub.dispatch(delivery{to: c, frame: frame, size: wireLen})
+}
+
+func (c *rawConn) receive(d delivery) {
+	c.cb(RawMessage{Frame: d.frame, Format: c.format, LittleEndian: c.little})
 }
 
 func (c *rawConn) decode(rx *pump, n int, crc uint32) (bool, error) {

@@ -61,8 +61,8 @@ func TestEnqueueReleasesEvictedRefs(t *testing.T) {
 	core.Release(m1)
 	core.Release(m2)
 
-	pc.enqueue(frameItem{ref: &ref1})
-	pc.enqueue(frameItem{ref: &ref2}) // evicts and releases ref1
+	pc.enqueue(frameItem{ref: ref1})
+	pc.enqueue(frameItem{ref: ref2}) // evicts and releases ref1
 
 	if n, err := core.RefCountOf(m2); err != nil || n != 1 {
 		t.Errorf("queued message refs = %d, %v", n, err)
@@ -97,7 +97,7 @@ func TestEnqueueAfterStopReleases(t *testing.T) {
 	}
 	ref, _ := core.NewRef(m)
 	core.Release(m)
-	pc.enqueue(frameItem{ref: &ref})
+	pc.enqueue(frameItem{ref: ref})
 	if _, err := core.RefCountOf(m); err == nil {
 		t.Error("enqueue after stop kept the reference alive")
 	}

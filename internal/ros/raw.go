@@ -1,6 +1,10 @@
 package ros
 
-import "errors"
+import (
+	"errors"
+
+	"rossf/internal/core"
+)
 
 // RawMessage is one frame delivered to a raw subscriber, with the
 // publisher-declared wire regime.
@@ -79,7 +83,7 @@ func (p *RawPublisher) PublishFrame(frame []byte) error {
 		cp := append([]byte(nil), frame...)
 		l = &latchedMsg{frame: cp}
 	}
-	p.ep.fanoutFrame(frame, l)
+	p.ep.fanout(frame, nil, core.Ref{}, l)
 	return nil
 }
 

@@ -52,13 +52,15 @@ func (s *ServiceServer) Name() string { return s.ep.name }
 
 // serviceEndpoint is the type-erased per-service server state.
 type serviceEndpoint struct {
-	node       *Node
-	name       string
-	reqType    string
-	respType   string
-	md5        string
-	sfm        bool
-	handle     func(reqFrame []byte, srcLittle bool) (respFrame []byte, release func(), err error)
+	node     *Node
+	name     string
+	reqType  string
+	respType string
+	md5      string
+	sfm      bool
+	// handle answers one request with the reply as a queue item: its
+	// bytes, plus the arena reference to drop once they are written.
+	handle     func(reqFrame []byte, srcLittle bool) (frameItem, error)
 	unregister func()
 	stats      *obs.ServiceStats // nil when the node's metrics are disabled
 
@@ -133,59 +135,62 @@ func AdvertiseService[Req, Resp any](n *Node, name string,
 }
 
 // regularServiceHandler wraps a handler over the ROS1 pipeline.
-func regularServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error)) func([]byte, bool) ([]byte, func(), error) {
-	return func(reqFrame []byte, _ bool) ([]byte, func(), error) {
+func regularServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error)) func([]byte, bool) (frameItem, error) {
+	return func(reqFrame []byte, _ bool) (frameItem, error) {
 		req := new(Req)
 		s, _ := any(req).(Serializable)
 		if err := s.DeserializeROS(wire.NewReader(reqFrame)); err != nil {
-			return nil, nil, fmt.Errorf("malformed request: %v", err)
+			return frameItem{}, fmt.Errorf("malformed request: %v", err)
 		}
 		resp, err := handler(req)
 		if err != nil {
-			return nil, nil, err
+			return frameItem{}, err
 		}
 		rs, ok := any(resp).(Serializable)
 		if !ok || resp == nil {
-			return nil, nil, errors.New("handler returned no response")
+			return frameItem{}, errors.New("handler returned no response")
 		}
 		w := wire.NewWriter(rs.SerializedSizeROS())
 		if err := rs.SerializeROS(w); err != nil {
-			return nil, nil, err
+			return frameItem{}, err
 		}
-		return w.Bytes(), nil, nil
+		return frameItem{data: w.Bytes()}, nil
 	}
 }
 
 // sfmServiceHandler wraps a handler over the serialization-free
 // pipeline: the request buffer is adopted, the response's arena bytes
 // are the reply frame.
-func sfmServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error), layout *core.Layout) func([]byte, bool) ([]byte, func(), error) {
-	return func(reqFrame []byte, srcLittle bool) ([]byte, func(), error) {
+func sfmServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error), layout *core.Layout) func([]byte, bool) (frameItem, error) {
+	return func(reqFrame []byte, srcLittle bool) (frameItem, error) {
 		buf := core.Default().GetBuffer(len(reqFrame))
-		copy(buf.Bytes(), reqFrame)
-		if err := core.ConvertEndianness(buf.Bytes()[:len(reqFrame)], layout, srcLittle); err != nil {
+		image := buf.Bytes()[:len(reqFrame)]
+		copy(image, reqFrame)
+		if err := core.ConvertEndianness(image, layout, srcLittle); err != nil {
 			buf.Discard()
-			return nil, nil, err
+			return frameItem{}, err
 		}
-		req, err := core.Adopt[Req](buf, len(reqFrame))
+		req, reqRef, err := core.AdoptRef[Req](buf, len(reqFrame))
 		if err != nil {
 			buf.Discard()
-			return nil, nil, err
+			return frameItem{}, err
 		}
 		resp, err := handler(req)
-		core.Release(req)
+		reqRef.Release()
 		if err != nil {
-			return nil, nil, err
+			return frameItem{}, err
 		}
 		if resp == nil {
-			return nil, nil, errors.New("handler returned no response")
+			return frameItem{}, errors.New("handler returned no response")
 		}
-		frame, err := core.Bytes(resp)
+		// The reply item holds the arena until the frame is written; the
+		// handler's own reference to its response ends here.
+		ref, err := core.NewRef(resp)
 		if err != nil {
-			return nil, nil, err
+			return frameItem{}, err
 		}
-		release := func() { core.Release(resp) }
-		return frame, release, nil
+		core.Release(resp)
+		return frameItem{data: ref.Bytes(), ref: ref}, nil
 	}
 }
 
@@ -259,8 +264,7 @@ func (c *serviceConn) decode(rx *pump, n int, crc uint32) (bool, error) {
 		return true, err
 	}
 	ep := c.ep
-	var respFrame []byte
-	var release func()
+	var reply frameItem
 	var herr error
 	var t0 time.Time
 	if ep.stats != nil {
@@ -272,7 +276,7 @@ func (c *serviceConn) decode(rx *pump, n int, crc uint32) (bool, error) {
 		// next header is re-validated by magic.
 		herr = errors.New("corrupt request frame")
 	} else {
-		respFrame, release, herr = ep.handle(frame, c.srcLittle)
+		reply, herr = ep.handle(frame, c.srcLittle)
 	}
 	if st := ep.stats; st != nil {
 		st.Calls.Inc()
@@ -286,12 +290,10 @@ func (c *serviceConn) decode(rx *pump, n int, crc uint32) (bool, error) {
 	c.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
 	status := byte(1)
 	if herr != nil {
-		status, respFrame = 0, []byte(herr.Error())
+		status, reply = 0, frameItem{data: []byte(herr.Error())}
 	}
-	werr := writeStatusFrame(c.conn, status, respFrame)
-	if release != nil {
-		release()
-	}
+	werr := writeStatusFrame(c.conn, status, reply.data)
+	reply.release()
 	if werr != nil {
 		return true, werr
 	}
@@ -479,15 +481,16 @@ func (c *ServiceClient[Req, Resp]) decode(rx *pump, n int, crc uint32) (bool, er
 		return true, nil
 	}
 	buf := core.Default().GetBuffer(n)
+	image := buf.Bytes()[:n]
 	// Verified before endianness conversion mutates the bytes and before
 	// the buffer is adopted — a corrupt frame must never become a live
 	// message.
-	ok, err := rx.into(buf.Bytes()[:n], nil, crc)
+	ok, err := rx.into(image, nil, crc)
 	if !ok || err != nil {
 		buf.Discard()
 		return ok, err
 	}
-	if err := core.ConvertEndianness(buf.Bytes()[:n], c.layout, c.little); err != nil {
+	if err := core.ConvertEndianness(image, c.layout, c.little); err != nil {
 		buf.Discard()
 		return true, err
 	}

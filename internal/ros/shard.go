@@ -346,7 +346,7 @@ func (s *egressShard) deliverTargeted(cur shardItem, b *shardBatch) {
 		cur.it.release()
 		return
 	}
-	p := cur.it.bytes()
+	p := cur.it.data
 	crc := cur.it.crc
 	if !cur.it.crcOK {
 		crc = wire.Checksum(p)
@@ -494,14 +494,14 @@ func (b *shardBatch) full() bool {
 }
 
 func (b *shardBatch) add(it shardItem) {
-	it.it.undo = nil
+	it.it.unshare = nil
 	if b.n == 0 {
 		b.firstSeq = it.seq
 	}
 	b.lastSeq = it.seq
 	b.items[b.n] = it
 	b.n++
-	b.bytes += len(it.it.bytes())
+	b.bytes += len(it.it.data)
 }
 
 // encode renders the run once: headers and small payloads into the
@@ -519,7 +519,7 @@ func (b *shardBatch) encode() {
 	b.wireBytes = 0
 	for i := 0; i < b.n; i++ {
 		it := &b.items[i].it
-		p := it.bytes()
+		p := it.data
 		crc := it.crc
 		if !it.crcOK {
 			crc = wire.Checksum(p)

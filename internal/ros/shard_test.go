@@ -603,7 +603,7 @@ func TestShardAutoThreshold(t *testing.T) {
 		t.Fatal("auto mode never activated the pool above the threshold")
 	}
 	ep.mu.Lock()
-	classic := len(ep.conns)
+	classic := len(ep.att.conns)
 	ep.mu.Unlock()
 	sharded := ep.pool.memberCount()
 	if classic != autoShardThreshold || sharded != nSubs-autoShardThreshold {

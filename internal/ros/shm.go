@@ -26,50 +26,50 @@ type shmSender struct {
 // itself (unlike the Counter/Gauge methods) is not nil-safe.
 func (n *Node) shmStats() *obs.ShmStats { return n.metrics.Shm() }
 
-// shmOutcome classifies one attempt to ship a message as a descriptor,
-// so the publish path can count (and warn about) the right fallback
-// reason instead of folding every miss into one number.
+// shmOutcome classifies a failed attempt to ship a message as a
+// descriptor, so the publish path can count (and warn about) the right
+// fallback reason instead of folding every miss into one number.
 type shmOutcome int
 
 const (
-	// shmShared: the descriptor item was built; publish it.
-	shmShared shmOutcome = iota
 	// shmNoSlot: the arena is not in this connection's store and
 	// publish-time promotion could not place a copy either (message
 	// above the transport cap, or the store declined).
-	shmNoSlot
+	shmNoSlot shmOutcome = iota
 	// shmLeaseLost: the slot was ready but the subscriber's lease raced
 	// away under Share — a transient, not a classified reason.
 	shmLeaseLost
 )
 
-// shmItemFor builds a descriptor queue item for message m on c's shm
-// grant. A message whose arena already lives in this connection's store
-// ships as-is; a heap-backed one is PROMOTED — copied once into a
-// shared slot cached on the message record — so a republisher converges
-// to zero fallbacks instead of shipping an inline copy forever.
-// promoted reports that this call paid the copy (the caller's
-// Promotions counter); outcomes other than shmShared mean the message
-// must go inline.
-func shmItemFor[T any](c *pubConn, m *T) (it frameItem, promoted bool, outcome shmOutcome) {
-	h, used, promoted, ok := core.PromoteShared(m, c.shm.store)
+// shmItemFor builds a descriptor queue item on c's shm grant for the
+// used-byte message hold refers to. A message whose arena already lives
+// in this connection's store ships as-is; a heap-backed one is PROMOTED
+// — copied once into a shared slot cached on the message record — so a
+// republisher converges to zero fallbacks instead of shipping an inline
+// copy forever. ok=false means the message must go inline on this
+// connection; the fallback is counted by reason (and eventually warned
+// about) — silent degradation off the descriptor path is a bug signal.
+func (ep *pubEndpoint) shmItemFor(c *pubConn, hold core.Ref, used int) (it frameItem, ok bool) {
+	h, _, promoted, ok := hold.PromoteShared(c.shm.store)
 	if !ok {
-		return frameItem{}, false, shmNoSlot
+		ep.noteShmFallback(used, shmNoSlot)
+		return frameItem{}, false
+	}
+	if promoted {
+		if st := ep.node.shmStats(); st != nil {
+			st.Promotions.Inc()
+		}
 	}
 	d, err := c.shm.store.Share(h, c.shm.peer, c.shm.gen, used)
 	if err != nil {
-		return frameItem{}, promoted, shmLeaseLost
+		ep.noteShmFallback(used, shmLeaseLost)
+		return frameItem{}, false
 	}
-	store, peer, gen := c.shm.store, c.shm.peer, c.shm.gen
-	it = frameItem{
-		data: d.AppendTo(nil),
-		tag:  tagDescriptor,
-		undo: func() { store.Unshare(h, peer, gen) },
-	}
+	it = frameItem{data: d.AppendTo(nil), tag: tagDescriptor, unshare: c.shm, slot: h}
 	// Descriptors are per-connection (24 bytes), so there is nothing to
 	// share across the fan-out — stamping here just moves the trivial
 	// hash off the write loop.
 	t := [1]byte{tagDescriptor}
 	it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
-	return it, promoted, shmShared
+	return it, true
 }

@@ -260,24 +260,77 @@ func (s *Subscriber) isClosed() bool {
 	return s.closed
 }
 
+// delivery is one message on its way to a callback: whose callback, the
+// message (typed, or a raw frame that is valid during the callback
+// only), the arena reference the delivery owns (SFM), and what the
+// instruments record. It travels by value — handed straight to the
+// callback on a synchronous subscription, through the queue's channel on
+// an asynchronous one — so delivering allocates nothing.
+type delivery struct {
+	to    receiver
+	msg   any
+	frame []byte
+	ref   core.Ref
+	size  int       // bytes the subscription's instruments count
+	t0    time.Time // receive time; zero when the subscription has no instruments
+}
+
+// receiver invokes a subscription's user callback on a delivery.
+type receiver interface {
+	receive(d delivery)
+}
+
+// dispatch routes one delivery through the queue, or runs it inline
+// when the subscription is synchronous.
+func (s *Subscriber) dispatch(d delivery) {
+	// t0 is captured only when instruments exist, so an uninstrumented
+	// hand-over takes no timestamp and records nothing.
+	if s.stats != nil {
+		d.t0 = time.Now()
+	}
+	if s.queue == nil {
+		s.run(d)
+		return
+	}
+	s.queue.enqueue(d)
+}
+
+// run invokes the callback, then releases the delivery's reference (the
+// release-exactly-once discipline shared by every receive path) and
+// records it.
+func (s *Subscriber) run(d delivery) {
+	d.to.receive(d)
+	d.ref.Release() //nolint:errcheck // regular and raw deliveries hold the zero Ref
+	if st := s.stats; st != nil {
+		st.Messages.Inc()
+		st.Bytes.Add(uint64(d.size))
+		st.Latency.Observe(time.Since(d.t0))
+	}
+}
+
+// drop disposes of a delivery that will not reach the callback: evicted
+// from a full queue, or queued when the subscription closed.
+func (s *Subscriber) drop(d delivery) {
+	d.ref.Release() //nolint:errcheck // as in run
+	if st := s.stats; st != nil {
+		st.Drops.Inc()
+	}
+}
+
 // dispatchQueue decouples callbacks from reader goroutines with
-// drop-oldest overflow. Each item carries the callback invocation and a
-// drop action that releases resources when the item is evicted.
+// drop-oldest overflow.
 type dispatchQueue struct {
-	ch       chan dispatchItem
+	sub      *Subscriber
+	ch       chan delivery
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-type dispatchItem struct {
-	run  func()
-	drop func()
-}
-
-func newDispatchQueue(depth int) *dispatchQueue {
+func newDispatchQueue(s *Subscriber, depth int) *dispatchQueue {
 	q := &dispatchQueue{
-		ch:   make(chan dispatchItem, depth),
+		sub:  s,
+		ch:   make(chan delivery, depth),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -291,26 +344,26 @@ func (q *dispatchQueue) loop() {
 		select {
 		case <-q.stop:
 			return
-		case it := <-q.ch:
-			it.run()
+		case d := <-q.ch:
+			q.sub.run(d)
 		}
 	}
 }
 
 // enqueue mirrors pubConn.enqueue's drop-oldest discipline, including
 // the post-send recheck against a concurrent close.
-func (q *dispatchQueue) enqueue(it dispatchItem) {
+func (q *dispatchQueue) enqueue(d delivery) {
 	for {
 		select {
 		case <-q.stop:
-			it.drop()
+			q.sub.drop(d)
 			return
-		case q.ch <- it:
+		case q.ch <- d:
 			select {
 			case <-q.stop:
 				select {
 				case old := <-q.ch:
-					old.drop()
+					q.sub.drop(old)
 				default:
 				}
 			default:
@@ -320,7 +373,7 @@ func (q *dispatchQueue) enqueue(it dispatchItem) {
 		}
 		select {
 		case old := <-q.ch:
-			old.drop()
+			q.sub.drop(old)
 		default:
 		}
 	}
@@ -332,23 +385,13 @@ func (q *dispatchQueue) close() {
 		<-q.done
 		for {
 			select {
-			case it := <-q.ch:
-				it.drop()
+			case d := <-q.ch:
+				q.sub.drop(d)
 			default:
 				return
 			}
 		}
 	})
-}
-
-// dispatch routes one delivery through the queue, or runs it inline
-// when the subscription is synchronous.
-func (s *Subscriber) dispatch(run, drop func()) {
-	if s.queue == nil {
-		run()
-		return
-	}
-	s.queue.enqueue(dispatchItem{run: run, drop: drop})
 }
 
 // decoderSet holds a runtime's frame-decoder constructors, one per link
@@ -435,7 +478,7 @@ func newSubscriber(n *Node, topic, typeName, md5 string, sfm bool, cfg *subConfi
 		inproc:    make(map[*pubEndpoint]struct{}),
 	}
 	if cfg.queueSize > 0 {
-		s.queue = newDispatchQueue(cfg.queueSize)
+		s.queue = newDispatchQueue(s, cfg.queueSize)
 	}
 	return s
 }
@@ -819,31 +862,14 @@ func (r *ros1Runtime[T]) deliverFrame(frame []byte, _ bool) {
 	if err := sz.DeserializeROS(rd); err != nil {
 		return // a malformed frame is dropped, as roscpp does
 	}
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	sz0 := len(frame)
-	r.sub.dispatch(
-		func() {
-			r.cb(m)
-			if st != nil {
-				st.Messages.Inc()
-				st.Bytes.Add(uint64(sz0))
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			if st != nil {
-				st.Drops.Inc()
-			}
-		})
+	r.sub.dispatch(delivery{to: r, msg: m, size: len(frame)})
 }
+
+func (r *ros1Runtime[T]) receive(d delivery) { r.cb(d.msg.(*T)) }
 
 // deliverShared is never reached (attachInproc refuses a regime
 // mismatch); releasing anyway keeps release-exactly-once.
-func (r *ros1Runtime[T]) deliverShared(_ any, release func()) { release() }
+func (r *ros1Runtime[T]) deliverShared(_ any, ref core.Ref, _ int) { ref.Release() }
 
 // sfmRuntime receives serialization-free messages: frames are adopted as
 // live messages with zero transformation.
@@ -869,70 +895,17 @@ func (r *sfmRuntime[T]) decoders() decoderSet {
 	}
 }
 
-// deliverAdopted dispatches an adopted message to the callback with the
-// release-exactly-once and instrumentation discipline shared by every
-// receive path: TCP frames, shm descriptors, and inline shm fallbacks.
-func (r *sfmRuntime[T]) deliverAdopted(m *T, sz int) {
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	r.sub.dispatch(
-		func() {
-			r.cb(m)
-			core.Release(m)
-			if st != nil {
-				st.Messages.Inc()
-				st.Bytes.Add(uint64(sz))
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			core.Release(m)
-			if st != nil {
-				st.Drops.Inc()
-			}
-		},
-	)
-}
+func (r *sfmRuntime[T]) receive(d delivery) { r.cb(d.msg.(*T)) }
 
-func (r *sfmRuntime[T]) deliverShared(m any, release func()) {
-	t, ok := m.(*T)
-	if !ok {
-		release()
+// deliverShared takes a message shared by a same-process publisher. This
+// path is the SFM publish fast path whose allocation count the
+// zero-overhead test pins.
+func (r *sfmRuntime[T]) deliverShared(m any, ref core.Ref, size int) {
+	if _, ok := m.(*T); !ok {
+		ref.Release()
 		return
 	}
-	// t0 is captured only when instruments exist, so the uninstrumented
-	// intra-process hand-over takes no timestamp and records nothing —
-	// this path is the SFM publish fast path whose allocation count the
-	// zero-overhead test pins.
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	r.sub.dispatch(
-		func() {
-			r.cb(t)
-			if st != nil {
-				st.Messages.Inc()
-				if n, err := core.UsedSize(t); err == nil {
-					st.Bytes.Add(uint64(n))
-				}
-			}
-			release()
-			if st != nil {
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			release()
-			if st != nil {
-				st.Drops.Inc()
-			}
-		},
-	)
+	r.sub.dispatch(delivery{to: r, msg: m, ref: ref, size: size})
 }
 
 // deliverFrame adopts a frame a raw SFM publisher (rosbag play, a relay)
@@ -941,7 +914,8 @@ func (r *sfmRuntime[T]) deliverShared(m any, release func()) {
 // arena first and then adopted exactly like a frame off a socket.
 func (r *sfmRuntime[T]) deliverFrame(frame []byte, srcLittle bool) {
 	buf := r.mgr.GetBuffer(len(frame))
-	copy(buf.Bytes(), frame)
+	arena := buf.Bytes()[:len(frame)]
+	copy(arena, frame)
 	c := sfmConn[T]{r: r, srcLittle: srcLittle}
-	c.adopt(buf, len(frame), len(frame)) // an unconvertible frame is dropped
+	c.adopt(buf, arena, len(frame)) // an unconvertible frame is dropped
 }
