@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor clean
+.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor shm-floor clean
 
 all: build test
 
@@ -51,11 +51,14 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Intra-machine transport matrix (inproc / shm / tcp) -> BENCH_ipc.json.
-# The shm rows need a mappable backing directory (normally /dev/shm);
-# the runner skips them gracefully where the platform lacks one.
+# Intra-machine transport matrix (inproc / shm / tcp) -> BENCH_ipc.json,
+# 2000 measured messages in every cell (a minute or two). The shm rows
+# need a mappable backing directory (normally /dev/shm); the runner
+# skips them where the platform lacks one, and skips — with the reason
+# in the JSON — the TCP cell of a size no plain TCP link carries
+# (above the 64 MiB frame cap).
 bench-ipc:
-	$(GO) run ./cmd/rossf-bench ipc -out BENCH_ipc.json
+	$(GO) run ./cmd/rossf-bench ipc -messages 2000 -out BENCH_ipc.json
 
 # Streaming TCP fan-out throughput through the batched egress path
 # -> BENCH_egress.json. (The A/B against the per-frame path it replaced
@@ -126,6 +129,12 @@ pipeline-check:
 # delivery. A count, not a timing, so it gates on any runner.
 alloc-floor:
 	bash scripts/alloc_floor.sh
+
+# First timing floor (DESIGN §3.7): shm_4k_lockstep's latency_p50_us
+# must not exceed tcp_4k_lockstep's, measured back to back. A ratio, so
+# it gates on any runner; prints NOT VERIFIED where /dev/shm is absent.
+shm-floor:
+	bash scripts/shm_floor.sh
 
 examples:
 	$(GO) run ./examples/quickstart

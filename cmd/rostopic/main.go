@@ -256,8 +256,8 @@ func stats(master *ros.RemoteMaster, reg *obs.Registry, topic string, duration t
 			sh.SegmentsMapped, sh.BytesShared, sh.DescriptorSends, sh.Promotions, sh.Fallbacks, sh.LeasesReaped)
 		if sh.Fallbacks > 0 {
 			fr := sh.FallbackReasons
-			fmt.Printf("           fallback reasons: oversized %d   heap_arena %d   peer_table_full %d   remote_peer %d   old_build %d\n",
-				fr.Oversized, fr.HeapArena, fr.PeerTableFull, fr.RemotePeer, fr.OldBuild)
+			fmt.Printf("           fallback reasons: oversized %d   heap_arena %d   peer_table_full %d   remote_peer %d   old_build %d   no_queue %d\n",
+				fr.Oversized, fr.HeapArena, fr.PeerTableFull, fr.RemotePeer, fr.OldBuild, fr.NoQueue)
 		}
 	}
 	if eg := snap.Egress; eg.Writes > 0 {

@@ -50,20 +50,10 @@ func (c *IPCConfig) fillDefaults() {
 	}
 }
 
-// cellMessages scales the per-cell message count down for very large
-// payloads: at 128 MiB even a lockstep ping moves gigabytes, and the
-// transport comparison stabilizes long before cfg.Messages iterations.
-func cellMessages(size, messages int) int {
-	switch {
-	case size >= 64<<20 && messages > 20:
-		return 20
-	case size >= 8<<20 && messages > 50:
-		return 50
-	}
-	return messages
-}
-
-// cellWarmup bounds warmup the same way.
+// cellWarmup bounds the unmeasured leading messages of very large
+// payloads: at 128 MiB even a lockstep ping moves gigabytes, and pools
+// and mappings are warm after a handful. The measured count is never
+// scaled: every cell takes cfg.Messages samples.
 func cellWarmup(size, warmup int) int {
 	if size >= 8<<20 && warmup > 5 {
 		return 5
@@ -181,11 +171,18 @@ func RunIPC(cfg IPCConfig) (*IPCResult, error) {
 			if tr == IPCShm && !res.ShmAvailable {
 				continue
 			}
-			if tr == IPCShm {
-				if reason := shmSkipReason(size, cfg.Dir); reason != "" {
-					rows[tr] = IPCRow{SizeBytes: size, Transport: tr, Skipped: true, SkipReason: reason}
-					continue
-				}
+			reason := ""
+			switch {
+			case tr == IPCShm:
+				reason = shmSkipReason(size, cfg.Dir)
+			case tr == IPCTCP && size >= ros.MaxTCPFrameBytes:
+				// Not a slow cell but an undeliverable one: the subscriber's
+				// pump treats a longer frame as stream damage and skips it.
+				reason = fmt.Sprintf("plain TCP links carry frames up to %s; larger messages need the shm transport", formatBytes(ros.MaxTCPFrameBytes))
+			}
+			if reason != "" {
+				rows[tr] = IPCRow{SizeBytes: size, Transport: tr, Skipped: true, SkipReason: reason}
+				continue
 			}
 			series, err := runIPCOnce(tr, size, cfg)
 			if err != nil {
@@ -348,9 +345,8 @@ func runIPCOnce(transport string, size int, cfg IPCConfig) (*LatencySeries, erro
 	defer run.Close()
 
 	series := &LatencySeries{Label: fmt.Sprintf("%s %s", transport, formatBytes(size))}
-	messages := cellMessages(size, cfg.Messages)
 	warmup := cellWarmup(size, cfg.Warmup)
-	for i := 0; i < warmup+messages; i++ {
+	for i := 0; i < warmup+cfg.Messages; i++ {
 		d, err := run.Ping(i)
 		if err != nil {
 			return nil, err

@@ -138,7 +138,7 @@ func TestMasterFailoverSIGKILL(t *testing.T) {
 		func() bool { return pub.NumSubscribers() == 1 })
 
 	stop := make(chan struct{})
-	wait := pumpCounted(t, pub, size, stop)
+	wait := pumpCounted(t, pub, size, stop, nil)
 
 	// Live registration traffic: keep registering distinct publishers
 	// throughout the kill and the promotion. Every acked registration

@@ -133,7 +133,7 @@ func TestRelaySIGKILLMidStream(t *testing.T) {
 	})
 
 	stop := make(chan struct{})
-	wait := pumpCounted(t, pub, size, stop)
+	wait := pumpCounted(t, pub, size, stop, nil)
 	eventually(t, 15*time.Second, "both subscribers receiving", func() bool {
 		return delegated.distinct() >= 10 && direct.distinct() >= 10
 	})
@@ -282,7 +282,7 @@ func TestStalledShardMemberIsolated(t *testing.T) {
 	// notice the severed link for a long time — it is still draining a
 	// full receive buffer through 500ms stalls).
 	stop := make(chan struct{})
-	wait := pumpCounted(t, pub, size, stop)
+	wait := pumpCounted(t, pub, size, stop, nil)
 	eventually(t, 30*time.Second, "write deadline cuts the wedged member loose", func() bool {
 		return pub.NumSubscribers() == healthy
 	})

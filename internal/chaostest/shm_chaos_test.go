@@ -63,8 +63,12 @@ func contains(b []byte, sub string) bool {
 // SIGKILLed mid-stream (no teardown, no heartbeat, slot references
 // still held), and the publisher must
 //
+//   - learn of the death from the frame queue itself — the next write
+//     to the dead reader's FIFO fails with EPIPE — and drop the link,
 //   - reap the dead subscriber's lease and reclaim its slot references
 //     (no segment leaks, store returns to idle),
+//   - find no FIFO left behind: the victim unlinked its queue's name when
+//     the publisher answered, so not even SIGKILL strands one,
 //   - never wedge: a surviving same-machine shm subscriber keeps
 //     receiving byte-perfect messages throughout,
 //   - leak nothing: goroutines and message life-cycle gauges return to
@@ -77,6 +81,18 @@ func TestShmSubscriberSIGKILL(t *testing.T) {
 		t.Skip("spawns a child process")
 	}
 	const size = 1024
+
+	// Both processes make their frame queues here (the child inherits the
+	// variable); the store's segments live in a directory of their own.
+	queueDir := t.TempDir()
+	t.Setenv("ROSSF_SHM_DIR", queueDir)
+	queues := func() []os.DirEntry {
+		entries, err := os.ReadDir(queueDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entries
+	}
 
 	reg := obs.NewRegistry()
 	store, err := shm.NewStore(shm.Options{
@@ -205,6 +221,9 @@ func TestShmSubscriberSIGKILL(t *testing.T) {
 	eventually(t, 10*time.Second, "survivor receiving", func() bool {
 		return rec.distinct() >= 10
 	})
+	if left := queues(); len(left) != 0 {
+		t.Errorf("two live shm links, yet %d queue name(s) still in the shm directory", len(left))
+	}
 
 	// SIGKILL: no teardown, no RetirePeer, heartbeat stops mid-lease.
 	preKill := rec.distinct()
@@ -219,9 +238,14 @@ func TestShmSubscriberSIGKILL(t *testing.T) {
 	eventually(t, 10*time.Second, "survivor progress after the kill", func() bool {
 		return rec.distinct() >= preKill+20
 	})
+	// The pump publishes every millisecond; the first write after the kill
+	// hits a FIFO with no reader.
 	eventually(t, 10*time.Second, "dead connection retired", func() bool {
 		return pub.NumSubscribers() == 1
 	})
+	if left := queues(); len(left) != 0 {
+		t.Errorf("the SIGKILLed subscriber left %d FIFO(s) behind", len(left))
+	}
 	if bad := rec.corrupted(); len(bad) > 0 {
 		t.Fatalf("survivor received %d corrupted payloads (first: %.60q)", len(bad), bad[0])
 	}

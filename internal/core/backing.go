@@ -62,24 +62,38 @@ func (m *Manager) BackingStoreOf() BackingStore {
 	return nil
 }
 
+// ExternalOwner takes back memory lent to NewExternalBuffer. token is
+// whatever the owner needs to find the loan again; a pointer-shaped
+// owner and an integer token keep the hand-over free of closures, so an
+// adopted external message costs no allocation.
+type ExternalOwner interface {
+	ReleaseExternal(token uint64)
+}
+
+// unowned stands in for a nil owner: a non-nil extOwner is what marks a
+// record's storage as external.
+type unowned struct{}
+
+func (unowned) ReleaseExternal(uint64) {}
+
 // NewExternalBuffer wraps caller-owned memory (e.g. a mapped shared-
 // memory slot on the subscriber side) as an arena buffer ready for
-// Adopt. mem must be arenaAlign-aligned; free, if non-nil, runs exactly
-// once when the adopted message destructs or the buffer is discarded
-// unused. The memory must stay valid until then.
-func (m *Manager) NewExternalBuffer(mem []byte, free func()) (Buffer, error) {
+// Adopt. mem must be arenaAlign-aligned; owner, if non-nil, is handed
+// token exactly once when the adopted message destructs or the buffer
+// is discarded unused. The memory must stay valid until then.
+func (m *Manager) NewExternalBuffer(mem []byte, owner ExternalOwner, token uint64) (Buffer, error) {
 	if len(mem) == 0 {
 		return Buffer{}, fmt.Errorf("%w: empty external buffer", ErrBufferMisuse)
 	}
 	if uintptr(unsafe.Pointer(&mem[0]))&(arenaAlign-1) != 0 {
 		return Buffer{}, fmt.Errorf("%w: external buffer is not %d-byte aligned", ErrBufferMisuse, arenaAlign)
 	}
-	if free == nil {
-		free = func() {}
+	if owner == nil {
+		owner = unowned{}
 	}
 	r := m.pool.bareRecord(m)
 	r.attach(mem, mem)
-	r.extFree = free
+	r.extOwner, r.extToken = owner, token
 	return r.lend(), nil
 }
 

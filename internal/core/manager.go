@@ -68,11 +68,12 @@ type record struct {
 	typ   reflect.Type // skeleton type, nil for untyped adoption
 	// Storage owner. Heap storage (none set) recycles with the record;
 	// store-backed storage returns to bs under the shared handle, and
-	// external memory is handed back through extFree.
+	// external memory is handed back to extOwner under extToken.
 	bs        BackingStore
 	shared    uint64 // BackingStore handle (valid when hasShared)
 	hasShared bool
-	extFree   func() // non-nil on external memory
+	extOwner  ExternalOwner // non-nil on external memory
+	extToken  uint64
 	// Publish-time promotion cache (PromoteShared): a copy-once shared
 	// slot for a message whose own arena is not store-backed. Valid while
 	// promoBS is non-nil and promoUsed matches used; released on grow

@@ -122,11 +122,11 @@ func (m *Manager) recycle(r *record, quarantined bool) {
 			quarantine(r, nil)
 		}
 		r.bs.Release(r.shared, r.raw)
-	case r.extFree != nil:
+	case r.extOwner != nil:
 		if quarantined {
 			quarantine(r, nil)
 		}
-		r.extFree()
+		r.extOwner.ReleaseExternal(r.extToken)
 	case quarantined:
 		quarantine(r, r.raw)
 	default:
@@ -139,7 +139,7 @@ func (m *Manager) recycle(r *record, quarantined bool) {
 		return
 	}
 	r.raw, r.arena, r.base, r.end = nil, nil, 0, 0
-	r.bs, r.shared, r.hasShared, r.extFree = nil, 0, false, nil
+	r.bs, r.shared, r.hasShared, r.extOwner, r.extToken = nil, 0, false, nil, 0
 	m.pool.bare.Put(r)
 }
 

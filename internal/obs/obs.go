@@ -112,15 +112,16 @@ type SubStats struct {
 // registry.
 //
 // Fallbacks is the aggregate: every shm-capable path that shipped an
-// inline TCP copy instead of a descriptor. The per-reason counters
-// split it by WHY, because "negotiated shm but fell back" is a
-// transparency bug (Agnocast's silent-degradation failure mode) whose
-// fix depends entirely on the reason: oversized means the message
-// exceeds the transport's hard cap (by design), heap_arena means the
-// arena predates the store and promotion also failed, peer_table_full /
-// remote_peer / old_build are negotiation-time declines. Rare races
-// (e.g. a Share losing to a concurrent lease reap) count only in the
-// aggregate, so the total may slightly exceed the reason sum.
+// inline copy instead of a descriptor, or set a link up over TCP. The
+// per-reason counters split it by WHY, because "negotiated shm but fell
+// back" is a transparency bug (Agnocast's silent-degradation failure
+// mode) whose fix depends entirely on the reason: oversized means the
+// message exceeds the transport's hard cap (by design), heap_arena means
+// the arena predates the store and promotion also failed,
+// peer_table_full / remote_peer / old_build / no_queue are
+// negotiation-time declines. Rare races (e.g. a Share losing to a
+// concurrent lease reap) count only in the aggregate, so the total may
+// slightly exceed the reason sum.
 //
 // BytesShared counts MAPPED extent, which since the v2 strided layout
 // is a sparse virtual reservation — physical pages are committed only
@@ -138,6 +139,7 @@ type ShmStats struct {
 	FallbackPeerTableFull Counter // subscriber declined: no free peer lease slot
 	FallbackRemotePeer    Counter // subscriber offered shm but lives on another host/boot
 	FallbackOldBuild      Counter // peer speaks an incompatible shm protocol revision
+	FallbackNoQueue       Counter // the link's FIFO frame queue could not be created or opened
 }
 
 // EgressStats instruments the batched TCP egress path, registry-wide:
@@ -504,6 +506,7 @@ type ShmFallbackSnapshot struct {
 	PeerTableFull uint64 `json:"peer_table_full"`
 	RemotePeer    uint64 `json:"remote_peer"`
 	OldBuild      uint64 `json:"old_build"`
+	NoQueue       uint64 `json:"no_queue"`
 }
 
 // EgressSnapshot is the JSON form of the batched-egress instruments,
@@ -655,6 +658,7 @@ func (r *Registry) Snapshot() Snapshot {
 			PeerTableFull: r.shm.FallbackPeerTableFull.Load(),
 			RemotePeer:    r.shm.FallbackRemotePeer.Load(),
 			OldBuild:      r.shm.FallbackOldBuild.Load(),
+			NoQueue:       r.shm.FallbackNoQueue.Load(),
 		},
 		Promotions:   r.shm.Promotions.Load(),
 		LeasesReaped: r.shm.LeasesReaped.Load(),

@@ -31,12 +31,18 @@ const (
 	hdrShmPeer         = "shmpeer"
 	hdrShmLeaseMS      = "shmlease"
 	hdrShmGen          = "shmgen"
+	hdrShmQueue        = "shmqueue"
 	hdrFields          = "fields"
 	hdrFieldwire       = "fieldwire"
 	hdrFieldwireReject = "fieldsreject"
 
 	// fieldwireV1 names the sparse encoding of internal/fieldwire.
 	fieldwireV1 = "v1"
+
+	// legacyShmTransport is the transport name of builds that passed shm
+	// descriptors over the TCP connection; this build neither offers nor
+	// grants it, and counts meeting one as an old_build reject.
+	legacyShmTransport = "shm"
 )
 
 // capability is a set of optional things a connection can do. Shared
@@ -63,7 +69,8 @@ const (
 const (
 	reasonRemotePeer    = "remote_peer"     // offered shm from another host or boot
 	reasonPeerTableFull = "peer_table_full" // no free peer lease slot
-	reasonOldBuild      = "old_build"       // the granted mode could not be stood up on this side
+	reasonOldBuild      = "old_build"       // another shm revision: offered by name, or granted but not standing up on this side
+	reasonNoQueue       = "no_queue"        // the link's frame queue could not be created or opened
 )
 
 // reject is one declined capability and why; detail carries the
@@ -85,6 +92,8 @@ func (n *Node) noteReject(r reject) {
 			st.FallbackPeerTableFull.Inc()
 		case reasonOldBuild:
 			st.FallbackOldBuild.Inc()
+		case reasonNoQueue:
+			st.FallbackNoQueue.Inc()
 		}
 	}
 	if fw := n.fieldwireStats(); fw != nil && r.cap == capFields {
@@ -100,10 +109,12 @@ func (n *Node) noteReject(r reject) {
 	}
 }
 
-// offer is what one dial puts on the table.
+// offer is what one dial puts on the table. queue is the read end of
+// the frame queue an shm link would ride, non-nil iff caps has capShm.
 type offer struct {
 	caps   capability
 	fields []string
+	queue  *os.File
 }
 
 // offer derives this dial's offer from the runtime's decoder set, so a
@@ -111,17 +122,40 @@ type offer struct {
 // whatever this link declined after an earlier failure. Shm also needs
 // a transport mode that allows it, platform support, and the stock
 // dialer: a custom dialer (netsim links, tunnels) means the connection's
-// address says nothing about machine locality.
+// address says nothing about machine locality. An shm offer comes with
+// the frame queue already created and its read end open, so the
+// publisher's open of the write end can neither block nor miss; a queue
+// that cannot be made is a typed reject, and the link stops offering.
 func (s *Subscriber) offer(sc *subConn) offer {
-	caps := s.decoders.caps() &^ sc.declinedCaps()
+	o := offer{caps: s.decoders.caps() &^ sc.declinedCaps(), fields: s.fields}
 	if (s.transport != TransportAuto && s.transport != TransportShm) ||
 		!shm.Available() || s.node.customDial {
-		caps &^= capShm
+		o.caps &^= capShm
 	}
 	if len(s.fields) == 0 {
-		caps &^= capFields
+		o.caps &^= capFields
 	}
-	return offer{caps: caps, fields: s.fields}
+	if o.caps&capShm != 0 {
+		var err error
+		if o.queue, err = shm.CreateQueue(); err != nil {
+			o.caps &^= capShm
+			sc.decline(capShm)
+			s.node.noteReject(reject{cap: capShm, reason: reasonNoQueue, detail: err})
+		}
+	}
+	return o
+}
+
+// settle ends the offer's claim on the queue's name once the publisher
+// has answered (it holds the write end by then) or never will: the name
+// goes at once, the read end too unless the answer put it to use.
+func (o offer) settle(keep bool) {
+	if o.queue != nil {
+		os.Remove(o.queue.Name())
+		if !keep {
+			o.queue.Close()
+		}
+	}
 }
 
 // subscribeHeader is the subscriber's request header for one dial:
@@ -139,6 +173,7 @@ func subscribeHeader(topic, typeName, md5, callerID string, sfm bool, o offer) m
 		h[hdrTransports] = wire.TransportNameShm + "," + wire.TransportNameTCP
 		h[hdrPID] = strconv.Itoa(os.Getpid())
 		h[hdrBootID] = shm.BootID()
+		h[hdrShmQueue] = o.queue.Name()
 	}
 	if o.caps&capFields != 0 {
 		h[hdrFields] = strings.Join(o.fields, ",")
@@ -162,8 +197,8 @@ func replyMode(reply map[string]string) linkMode {
 // lease parsed out of the reply, then a mapper over the publisher's
 // segments with the heartbeat that keeps the lease alive. Any failure
 // is a negotiation failure — the caller falls back to a TCP redial.
-func (s *Subscriber) openShm(reply map[string]string) (*shm.Mapper, error) {
-	if s.decoders.shm == nil {
+func (s *Subscriber) openShm(o offer, reply map[string]string) (*shm.Mapper, error) {
+	if o.queue == nil {
 		return nil, fmt.Errorf("%w: publisher selected shm, which was never offered", ErrHandshake)
 	}
 	peer, err := strconv.Atoi(reply[hdrShmPeer])
@@ -212,25 +247,38 @@ type answer struct {
 }
 
 // answer decides what this endpoint grants. Shm needs an SFM topic, a
-// store, a subscriber on the same boot (same machine) and a free peer
-// lease; a mask needs an SFM topic, a wire map that resolves every
-// path, and a link that did not get shm. Everything else — an empty
-// offer (old build), an unknown transport name, a declined capability —
-// is plain.
+// store, a subscriber on the same boot (same machine), the write end of
+// the queue it offered and a free peer lease; a mask needs an SFM topic,
+// a wire map that resolves every path, and a link that did not get shm.
+// Everything else — an empty offer (old build), an unknown transport
+// name, a declined capability — is plain.
 func (ep *pubEndpoint) answer(req map[string]string) answer {
 	var a answer
 	store := ep.node.shmStore
-	if wire.NegotiateTransport(req[hdrTransports], ep.sfm && store != nil) == wire.TransportNameShm {
-		if req[hdrBootID] != shm.BootID() {
-			a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonRemotePeer})
-		} else {
-			pid, _ := strconv.ParseUint(req[hdrPID], 10, 32)
-			if peer, gen, err := store.AcquirePeer(uint32(pid)); err != nil {
-				a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonPeerTableFull, detail: err})
-			} else {
-				a.mode, a.shm = modeShm, &shmSender{store: store, peer: peer, gen: gen}
-			}
+	shmOK := ep.sfm && store != nil
+	switch {
+	case wire.NegotiateTransport(req[hdrTransports], shmOK) != wire.TransportNameShm:
+		// The subscriber is a build whose shm passes descriptors over the
+		// connection itself; this one could have served its own kind.
+		if shmOK && wire.OffersTransport(req[hdrTransports], legacyShmTransport) {
+			a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonOldBuild})
 		}
+	case req[hdrBootID] != shm.BootID():
+		a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonRemotePeer})
+	default:
+		queue, err := shm.OpenQueue(req[hdrShmQueue])
+		if err != nil {
+			a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonNoQueue, detail: err})
+			break
+		}
+		pid, _ := strconv.ParseUint(req[hdrPID], 10, 32)
+		peer, gen, err := store.AcquirePeer(uint32(pid))
+		if err != nil {
+			queue.Close()
+			a.rejects = append(a.rejects, reject{cap: capShm, reason: reasonPeerTableFull, detail: err})
+			break
+		}
+		a.mode, a.shm = modeShm, &shmSender{store: store, peer: peer, gen: gen, queue: queue}
 	}
 	if list := req[hdrFields]; list != "" && ep.sfm && a.mode == modePlain {
 		m, _ := fieldwire.MapFor(ep.typeName) // a nil map resolves to ErrNoMap
@@ -287,6 +335,6 @@ func (a *answer) commit(ep *pubEndpoint) {
 // never admitted.
 func (a *answer) abort() {
 	if a.shm != nil {
-		a.shm.store.RetirePeer(a.shm.peer)
+		a.shm.close()
 	}
 }

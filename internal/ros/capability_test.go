@@ -3,6 +3,7 @@ package ros
 import (
 	"io"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,8 +65,19 @@ func capsStore(t *testing.T, lease time.Duration) *shm.Store {
 // the chosen mode, the typed rejects, the reply keys, and the exact
 // counter deltas — none before commit, each reject once at commit.
 func TestCapabilityTable(t *testing.T) {
+	// An shm offer names a frame queue whose read end is already open.
+	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
+	var queue string
+	if shm.Available() {
+		q, err := shm.CreateQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		queue = q.Name()
+	}
 	shmOffer := func(bootid string) map[string]string {
-		return map[string]string{hdrTransports: "shm,tcp", hdrPID: "4242", hdrBootID: bootid}
+		return map[string]string{hdrTransports: "shmq,tcp", hdrPID: "4242", hdrBootID: bootid, hdrShmQueue: queue}
 	}
 	with := func(h map[string]string, k, v string) map[string]string {
 		h[k] = v
@@ -83,6 +95,12 @@ func TestCapabilityTable(t *testing.T) {
 			return with(shmOffer(shm.BootID()), hdrTransports, "quic,tcp")
 		}},
 		{"foreign bootid", func() map[string]string { return shmOffer("another-host") }},
+		{"shm of a descriptor-over-TCP build", func() map[string]string {
+			return with(shmOffer(shm.BootID()), hdrTransports, "shm,tcp")
+		}},
+		{"shm, queue gone", func() map[string]string {
+			return with(shmOffer(shm.BootID()), hdrShmQueue, queue+"-gone")
+		}},
 	}
 
 	// Each want is "mode" or "mode!cap:reason[!cap:reason]", one per offer
@@ -90,17 +108,18 @@ func TestCapabilityTable(t *testing.T) {
 	states := []struct {
 		name  string
 		build func(t *testing.T) (*pubEndpoint, *obs.Registry)
-		want  [6]string
+		want  [8]string
 	}{
 		{"ros1 topic", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			return capsEndpoint(false, capsMappedType, capsStore(t, 0))
-		}, [6]string{"plain", "plain", "plain", "plain", "plain", "plain"}},
+		}, [8]string{"plain", "plain", "plain", "plain", "plain", "plain", "plain", "plain"}},
 		{"sfm without store", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			return capsEndpoint(true, capsMappedType, nil)
-		}, [6]string{"plain", "plain", "masked", "masked", "plain", "plain"}},
+		}, [8]string{"plain", "plain", "masked", "masked", "plain", "plain", "plain", "plain"}},
 		{"sfm with store", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			return capsEndpoint(true, capsMappedType, capsStore(t, 0))
-		}, [6]string{"plain", "shm", "masked", "shm", "plain", "plain!shm:remote_peer"}},
+		}, [8]string{"plain", "shm", "masked", "shm", "plain", "plain!shm:remote_peer",
+			"plain!shm:old_build", "plain!shm:no_queue"}},
 		{"peer table full", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			store := capsStore(t, 0)
 			for i := 0; i < shm.MaxPeers; i++ {
@@ -109,14 +128,14 @@ func TestCapabilityTable(t *testing.T) {
 				}
 			}
 			return capsEndpoint(true, capsMappedType, store)
-		}, [6]string{"plain", "plain!shm:peer_table_full", "masked", "masked!shm:peer_table_full",
-			"plain", "plain!shm:remote_peer"}},
+		}, [8]string{"plain", "plain!shm:peer_table_full", "masked", "masked!shm:peer_table_full",
+			"plain", "plain!shm:remote_peer", "plain!shm:old_build", "plain!shm:no_queue"}},
 		{"no wire map", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			return capsEndpoint(true, "test_caps/Unmapped", nil)
-		}, [6]string{"plain", "plain", "plain!fields:no_wire_map", "plain!fields:no_wire_map", "plain", "plain"}},
+		}, [8]string{"plain", "plain", "plain!fields:no_wire_map", "plain!fields:no_wire_map", "plain", "plain", "plain", "plain"}},
 		{"variable tail", func(t *testing.T) (*pubEndpoint, *obs.Registry) {
 			return capsEndpoint(true, capsVarTailType, nil)
-		}, [6]string{"plain", "plain", "plain!fields:variable_tail", "plain!fields:variable_tail", "plain", "plain"}},
+		}, [8]string{"plain", "plain", "plain!fields:variable_tail", "plain!fields:variable_tail", "plain", "plain", "plain", "plain"}},
 	}
 
 	modeNames := map[linkMode]string{modePlain: "plain", modeShm: "shm", modeMasked: "masked"}
@@ -145,7 +164,7 @@ func TestCapabilityTable(t *testing.T) {
 				switch a.mode {
 				case modeShm:
 					wantReply = map[string]string{
-						hdrTransport:  "shm",
+						hdrTransport:  "shmq",
 						hdrShmPrefix:  a.shm.store.Prefix(),
 						hdrShmPeer:    "0",
 						hdrShmLeaseMS: strconv.FormatInt(shm.DefaultLeaseTimeout.Milliseconds(), 10),
@@ -181,6 +200,10 @@ func TestCapabilityTable(t *testing.T) {
 						wantShm.Fallbacks, wantShm.FallbackReasons.RemotePeer = 1, 1
 					case "shm:peer_table_full":
 						wantShm.Fallbacks, wantShm.FallbackReasons.PeerTableFull = 1, 1
+					case "shm:old_build":
+						wantShm.Fallbacks, wantShm.FallbackReasons.OldBuild = 1, 1
+					case "shm:no_queue":
+						wantShm.Fallbacks, wantShm.FallbackReasons.NoQueue = 1, 1
 					case "fields:no_wire_map":
 						wantFW.MaskRejects, wantFW.RejectReasons.NoMap = 1, 1
 					case "fields:variable_tail":
@@ -203,6 +226,7 @@ func TestOfferDerivesFromDecoders(t *testing.T) {
 	if !shm.Available() {
 		t.Skip("shared-memory transport unavailable on this platform")
 	}
+	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
 	typed := (&sfmRuntime[queueMsg]{}).decoders()
 	rawSFM := rawDecoders(&Subscriber{sfm: true}, nil)
 	ros1 := rawDecoders(&Subscriber{}, nil)
@@ -226,13 +250,22 @@ func TestOfferDerivesFromDecoders(t *testing.T) {
 		c.sub.node = &Node{}
 		sc := newSubConn()
 		sc.decline(c.declined)
-		if got := c.sub.offer(sc).caps; got != c.want {
-			t.Errorf("%s: offer caps = %b, want %b", c.name, got, c.want)
+		o := c.sub.offer(sc)
+		if o.caps != c.want {
+			t.Errorf("%s: offer caps = %b, want %b", c.name, o.caps, c.want)
 		}
+		// The queue comes with the shm offer and with nothing else.
+		if (o.queue != nil) != (o.caps&capShm != 0) {
+			t.Errorf("%s: caps %b with queue %v", c.name, o.caps, o.queue != nil)
+		}
+		o.settle(false)
 	}
 	custom := &Subscriber{decoders: typed, node: &Node{customDial: true}}
 	if got := custom.offer(newSubConn()).caps; got != 0 {
 		t.Errorf("custom dialer: offer caps = %b, want none", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(shm.Dir(), "*")); len(left) != 0 {
+		t.Errorf("settled offers left %v behind", left)
 	}
 }
 
@@ -277,7 +310,13 @@ func TestHandshakeHangUpCommitsNothing(t *testing.T) {
 			ep, _ := capsEndpoint(true, capsMappedType, store)
 			ep.closed = closed
 			req := base(ep)
-			req[hdrTransports], req[hdrPID], req[hdrBootID] = "shm,tcp", "4242", shm.BootID()
+			t.Setenv("ROSSF_SHM_DIR", t.TempDir())
+			q, err := shm.CreateQueue()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			req[hdrTransports], req[hdrPID], req[hdrBootID], req[hdrShmQueue] = "shmq,tcp", "4242", shm.BootID(), q.Name()
 			conn := hangUp()
 			if closed {
 				client, server := net.Pipe()
@@ -287,6 +326,12 @@ func TestHandshakeHangUpCommitsNothing(t *testing.T) {
 			}
 			if err := ep.acceptConn(conn, req); err == nil {
 				t.Fatal("acceptConn admitted the connection")
+			}
+			// The write end opened for the grant went with it: the queue
+			// reads end-of-stream instead of waiting for a writer.
+			q.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := q.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("queue read after the aborted grant: %v, want EOF", err)
 			}
 			// Slot 0 went to the failed handshake. Retired, the reaper frees
 			// it and a later lease gets it back in its second generation.

@@ -42,6 +42,10 @@ const maxHeaderSize = 1 << 16
 // will never arrive.
 const maxFrameSize = 1 << 26
 
+// MaxTCPFrameBytes is maxFrameSize for callers that must know which
+// messages a plain TCP link cannot carry (the IPC benchmark's matrix).
+const MaxTCPFrameBytes = maxFrameSize
+
 // maxTaggedFrameSize bounds frames on shm-negotiated connections: one
 // transport tag byte plus the shared-memory transport's message cap.
 // Any message that can travel as a descriptor must also survive an

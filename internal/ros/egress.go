@@ -1,11 +1,13 @@
 package ros
 
 import (
+	"io"
 	"net"
 	"sync"
 	"time"
 
 	"rossf/internal/obs"
+	"rossf/internal/shm"
 	"rossf/internal/wire"
 )
 
@@ -94,11 +96,18 @@ func (c *pubCRC) inline(p []byte) uint32 {
 	return c.inlineCRC
 }
 
+// frameSink is where a connection's frames go: the TCP connection, or
+// the frame queue of an shm link.
+type frameSink interface {
+	io.Writer
+	SetWriteDeadline(time.Time) error
+}
+
 // egressBatch is one pubConn's reusable batch state. All fixed-size
 // storage lives inline; collect/flush cycles reuse it without
 // allocating.
 type egressBatch struct {
-	conn         net.Conn
+	sink         frameSink
 	writeTimeout time.Duration
 	stats        *obs.EgressStats // nil when metrics are disabled
 	tagged       bool             // connection negotiated shm framing
@@ -117,6 +126,11 @@ type egressBatch struct {
 	// scratch is the pooled coalesce buffer, borrowed on first use and
 	// returned by close.
 	scratch *[]byte
+	// desc holds the encoding of the descriptor item being framed, tagb
+	// its tag for the checksum — here, not on the stack, because what
+	// the checksum is handed escapes.
+	desc [shm.DescriptorSize]byte
+	tagb [1]byte
 	// vecs is the field WriteTo consumes; keeping it on the (heap-
 	// resident) batch rather than the stack stops the vector header
 	// escaping per flush.
@@ -124,12 +138,11 @@ type egressBatch struct {
 }
 
 func newEgressBatch(pc *pubConn) *egressBatch {
-	return &egressBatch{
-		conn:         pc.conn,
-		writeTimeout: pc.writeTimeout,
-		stats:        pc.egress,
-		tagged:       pc.shm != nil,
+	b := &egressBatch{sink: pc.conn, writeTimeout: pc.writeTimeout, stats: pc.egress}
+	if pc.shm != nil {
+		b.sink, b.tagged = pc.shm.queue, true
 	}
+	return b
 }
 
 // full reports whether the batch should stop draining the queue.
@@ -138,11 +151,9 @@ func (b *egressBatch) full() bool {
 }
 
 // add accepts one queued item into the batch. The write attempt is now
-// imminent, so the shm unshare is cleared here: once bytes may reach the
-// subscriber, the peer (or its lease reaper) owns the descriptor's
-// reference.
+// imminent: a descriptor item's peer reference is the peer's from here
+// on (see pubConn.discard), and the batch only ever releases arenas.
 func (b *egressBatch) add(it frameItem) {
-	it.unshare = nil
 	b.items[b.n] = it
 	b.n++
 	b.bytes += len(it.data)
@@ -156,7 +167,7 @@ func (b *egressBatch) flush() bool {
 		return true
 	}
 	if b.writeTimeout > 0 {
-		b.conn.SetWriteDeadline(time.Now().Add(b.writeTimeout))
+		b.sink.SetWriteDeadline(time.Now().Add(b.writeTimeout))
 	}
 	vecs := b.vecStore[:0]
 	hdrs := b.hdrBuf[:0]
@@ -171,14 +182,17 @@ func (b *egressBatch) flush() bool {
 		it := &b.items[i]
 		p := it.data
 		tag := it.tag
+		if tag == tagDescriptor {
+			p = it.desc.AppendTo(b.desc[:0]) // coalesced below, so one buffer serves the batch
+		}
 		if b.tagged && tag == 0 {
 			tag = tagInline // latched items carry message bytes
 		}
 		crc := it.crc
 		if !it.crcOK {
 			if b.tagged {
-				t := [1]byte{tag}
-				crc = wire.Checksum2(t[:], p)
+				b.tagb[0] = tag
+				crc = wire.Checksum2(b.tagb[:], p)
 			} else {
 				crc = wire.Checksum(p)
 			}
@@ -221,7 +235,7 @@ func (b *egressBatch) flush() bool {
 	}
 
 	b.vecs = vecs
-	_, err := b.vecs.WriteTo(b.conn)
+	_, err := b.vecs.WriteTo(b.sink)
 
 	if st := b.stats; st != nil {
 		st.Writes.Inc()
@@ -231,8 +245,7 @@ func (b *egressBatch) flush() bool {
 		st.BytesPerWrite.Observe(int64(wireBytes))
 	}
 	// Drop payload references so a quiet connection doesn't pin the last
-	// batch's arenas, and release the items (arena refs; unshares are
-	// already cleared).
+	// batch's arenas, and release the items' arena references.
 	for i := range vecs {
 		vecs[i] = nil
 	}

@@ -8,9 +8,11 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rossf/internal/core"
 	"rossf/internal/obs"
+	"rossf/internal/shm"
 	"rossf/internal/wire"
 )
 
@@ -165,30 +167,120 @@ func TestBatchStreamDecodesToFrames(t *testing.T) {
 	}
 }
 
+// TestFrameItemSize pins the queue entry at 72 bytes. The descriptor
+// travels in it by value, and one more word measurably slows every TCP
+// stream (tcp_4k_stream p50 +1% in paired runs, EXPERIMENTS.md).
+func TestFrameItemSize(t *testing.T) {
+	if n := unsafe.Sizeof(frameItem{}); n > 72 {
+		t.Errorf("frameItem is %d bytes, want at most 72", n)
+	}
+}
+
+// TestDiscardReturnsDescriptorReference: a descriptor item that leaves
+// the queue unsent — pushed out by a newer one, or still queued at
+// teardown — gives its peer reference back at once. The lease is long,
+// so the reaper cannot be what empties the store.
+func TestDiscardReturnsDescriptorReference(t *testing.T) {
+	requireShm(t)
+	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
+	store, err := shm.NewStore(shm.Options{Dir: t.TempDir(), LeaseTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	mgr := core.NewManager()
+	mgr.SetBackingStore(store)
+	peer, gen, err := store.AcquirePeer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := shm.CreateQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	wr, err := shm.OpenQueue(rd.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, far := net.Pipe()
+	defer far.Close()
+	pc := &pubConn{
+		conn: conn,
+		stop: make(chan struct{}),
+		ch:   make(chan frameItem, 2), // no write loop: the queue only fills
+		shm:  &shmSender{store: store, peer: peer, gen: gen, queue: wr},
+	}
+	for i := 0; i < 3; i++ { // the third pushes the first out
+		img, err := core.NewIn[shardImgSF](mgr, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold, err := core.NewRef(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _, _, ok := hold.PromoteShared(store)
+		if !ok {
+			t.Fatal("store-backed message has no shared slot")
+		}
+		d, err := store.Share(h, peer, gen, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc.enqueue(frameItem{desc: d, tag: tagDescriptor})
+		hold.Release()    //nolint:errcheck // the peer reference is what is under test
+		core.Release(img) //nolint:errcheck
+	}
+	if store.Idle() {
+		t.Fatal("two descriptors are queued, yet no slot is referenced")
+	}
+	pc.teardown()
+	if !store.Idle() {
+		t.Error("unsent descriptors kept their peer references past teardown")
+	}
+}
+
 // TestBatchStreamTagged: on an shm-negotiated connection the batch
 // writes tagged frames — each decoded payload must lead with the tag
 // byte and checksum over tag||body, whether coalesced or vectored.
 func TestBatchStreamTagged(t *testing.T) {
-	var got bytes.Buffer
+	requireShm(t)
+	// A tagged batch goes to the grant's frame queue and never to the
+	// connection, which has no writer here to prove it.
+	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
+	rd, err := shm.CreateQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	wr, err := shm.OpenQueue(rd.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pc := &pubConn{
-		conn: captureConn{buf: &got},
 		stop: make(chan struct{}),
-		shm:  &shmSender{}, // marks the connection tagged; store is never touched
+		shm:  &shmSender{queue: wr}, // the store is never touched
 	}
 	b := newEgressBatch(pc)
+	desc := shm.Descriptor{SegID: 3, Gen: 7, Slot: 5, Length: 4096}
 	bodies := [][]byte{
-		bytes.Repeat([]byte{0x11}, 24),   // descriptor-sized, coalesced
+		desc.AppendTo(nil),               // encoded by the batch, coalesced
 		bytes.Repeat([]byte{0x22}, 8192), // vectored
 		{},                               // empty inline body
 	}
-	tags := []byte{tagDescriptor, tagInline, 0 /* defaults to tagInline */}
-	for i, body := range bodies {
-		b.add(frameItem{data: body, tag: tags[i]})
-	}
+	b.add(frameItem{desc: desc, tag: tagDescriptor})
+	b.add(frameItem{data: bodies[1], tag: tagInline})
+	b.add(frameItem{data: bodies[2]}) // an untagged item defaults to tagInline
 	if !b.flush() {
 		t.Fatal("flush failed")
 	}
 	b.close()
+	wr.Close()
+	var got bytes.Buffer
+	if _, err := io.Copy(&got, rd); err != nil {
+		t.Fatal(err)
+	}
 
 	wantTags := []byte{tagDescriptor, tagInline, tagInline}
 	r := bytes.NewReader(got.Bytes())

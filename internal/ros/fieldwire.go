@@ -85,7 +85,6 @@ func (b *sparseBatch) full() bool {
 }
 
 func (b *sparseBatch) add(it frameItem) {
-	it.unshare = nil
 	b.items[b.n] = it
 	b.n++
 	b.bytes += len(it.data)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -18,10 +19,16 @@ import (
 
 // Handshake headers exactly as they left a subscriber and a publisher
 // built from commit feb4aa9 (the last one before the capability module),
-// captured off a loopback socket. Three values are specific to the
-// capturing host and process — bootid, pid, shmprefix — and are replaced
-// by this process's before comparing; every other byte, including key
-// order and length prefixes, must match.
+// captured off a loopback socket. Four values are specific to the
+// capturing host and process — bootid, pid, shmprefix, shmqueue — and
+// are replaced by this process's before comparing; every other byte,
+// including key order and length prefixes, must match.
+//
+// The two links that offer shm differ from that capture by design: the
+// frame queue took the descriptor off the connection (DESIGN §3.7), so
+// their offer says transports=shmq,tcp and names the queue (shmqueue=),
+// and a grant answers transport=shmq. A link that offers no shm — the
+// other three — is byte-identical to feb4aa9.
 var goldenHandshakes = []struct {
 	name          string
 	offer, answer string
@@ -36,8 +43,8 @@ var goldenHandshakes = []struct {
 	},
 	{
 		name:     "shm",
-		offer:    "\xe3\x00\x00\x00+\x00\x00\x00bootid=238a5550-80bd-4a62-a8dd-9276481c37ab\x13\x00\x00\x00callerid=golden_sub\r\x00\x00\x00endian=little\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\t\x00\x00\x00pid=32429\x12\x00\x00\x00topic=golden/image\x12\x00\x00\x00transports=shm,tcp\x16\x00\x00\x00type=sensor_msgs/Image",
-		answer:   "\xf6\x00\x00\x00\x13\x00\x00\x00callerid=golden_pub\r\x00\x00\x00endian=little\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\b\x00\x00\x00shmgen=1\r\x00\x00\x00shmlease=2000\t\x00\x00\x00shmpeer=0<\x00\x00\x00shmprefix=/tmp/TestCaptureGolden1495216840/001/rossf-32429-0\r\x00\x00\x00transport=shm\x16\x00\x00\x00type=sensor_msgs/Image",
+		offer:    "\b\x01\x00\x00+\x00\x00\x00bootid=238a5550-80bd-4a62-a8dd-9276481c37ab\x13\x00\x00\x00callerid=golden_sub\r\x00\x00\x00endian=little\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\t\x00\x00\x00pid=32429 \x00\x00\x00shmqueue=/dev/shm/rossf-32429-q1\x12\x00\x00\x00topic=golden/image\x13\x00\x00\x00transports=shmq,tcp\x16\x00\x00\x00type=sensor_msgs/Image",
+		answer:   "\xf7\x00\x00\x00\x13\x00\x00\x00callerid=golden_pub\r\x00\x00\x00endian=little\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\b\x00\x00\x00shmgen=1\r\x00\x00\x00shmlease=2000\t\x00\x00\x00shmpeer=0<\x00\x00\x00shmprefix=/tmp/TestCaptureGolden1495216840/001/rossf-32429-0\x0e\x00\x00\x00transport=shmq\x16\x00\x00\x00type=sensor_msgs/Image",
 		shmStore: true,
 		sub:      []ros.SubOption{ros.WithTransport(ros.TransportShm)},
 	},
@@ -55,7 +62,7 @@ var goldenHandshakes = []struct {
 	},
 	{
 		name:   "shm and mask offered, no store",
-		offer:  "\xf4\x00\x00\x00+\x00\x00\x00bootid=238a5550-80bd-4a62-a8dd-9276481c37ab\x13\x00\x00\x00callerid=golden_sub\r\x00\x00\x00endian=little\r\x00\x00\x00fields=height\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\t\x00\x00\x00pid=32429\x12\x00\x00\x00topic=golden/image\x12\x00\x00\x00transports=shm,tcp\x16\x00\x00\x00type=sensor_msgs/Image",
+		offer:  "\x19\x01\x00\x00+\x00\x00\x00bootid=238a5550-80bd-4a62-a8dd-9276481c37ab\x13\x00\x00\x00callerid=golden_sub\r\x00\x00\x00endian=little\r\x00\x00\x00fields=height\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\t\x00\x00\x00pid=32429 \x00\x00\x00shmqueue=/dev/shm/rossf-32429-q1\x12\x00\x00\x00topic=golden/image\x13\x00\x00\x00transports=shmq,tcp\x16\x00\x00\x00type=sensor_msgs/Image",
 		answer: "\x9c\x00\x00\x00\x13\x00\x00\x00callerid=golden_pub\r\x00\x00\x00endian=little\f\x00\x00\x00fieldwire=v1\n\x00\x00\x00format=sfm'\x00\x00\x00md5sum=060021388200f6f0f447d0fcd9c64743\r\x00\x00\x00transport=tcp\x16\x00\x00\x00type=sensor_msgs/Image",
 		sub:    []ros.SubOption{ros.WithTransport(ros.TransportShm), ros.WithFields("height")},
 	},
@@ -173,6 +180,19 @@ func TestGoldenHandshakeBytes(t *testing.T) {
 			c := <-got
 			if c.err != nil {
 				t.Fatalf("tap: %v", c.err)
+			}
+			// The queue's name is this dial's own: private to the process,
+			// under the shm directory, and gone once the answer is in.
+			if offered, err := wire.ParseHeader(c.offer[4:]); err == nil && offered["shmqueue"] != "" {
+				q := offered["shmqueue"]
+				if ok, _ := filepath.Match(filepath.Join(shm.Dir(), "rossf-"+local["pid"]+"-q*"), q); !ok {
+					t.Errorf("offered queue %q is not a private name under %s", q, shm.Dir())
+				}
+				eventually(t, "the offered queue's name to be unlinked", func() bool {
+					_, err := os.Lstat(q)
+					return os.IsNotExist(err)
+				})
+				local["shmqueue"] = q
 			}
 			if want := localized(t, g.offer, local); !bytes.Equal(c.offer, want) {
 				t.Errorf("offer differs from the parent commit's\n got %q\nwant %q", c.offer, want)

@@ -11,14 +11,15 @@ import (
 	"rossf/internal/wire"
 )
 
-// The receive pump: every frame this package takes off a socket enters
-// here. The pump owns the batched reader (wire.IngressReader: one read
-// wakeup drains everything the kernel has buffered) and its release,
-// the live fold of resync bytes into the subscription counters, the
-// in-place-or-scratch payload choice, CRC verification, and corrupt
-// counting. What a frame MEANS is the decoder's business: plain frames
-// handed out in place, plain frames read straight into an arena, tagged
-// shm frames, sparse field-masked frames.
+// The receive pump: every frame this package takes off a socket — or,
+// on an shm link, off the link's frame queue — enters here. The pump
+// owns the batched reader (wire.IngressReader: one read wakeup drains
+// everything the kernel has buffered) and its release, the live fold of
+// resync bytes into the subscription counters, the in-place-or-scratch
+// payload choice, CRC verification, and corrupt counting. What a frame
+// MEANS is the decoder's business: plain frames handed out in place,
+// plain frames read straight into an arena, tagged shm frames, sparse
+// field-masked frames.
 
 // frameDecoder consumes one announced frame. It must take exactly n
 // payload bytes off rx (through frame, into, or the reader's Discard).
@@ -37,8 +38,9 @@ type pump struct {
 	folded  uint64      // resync bytes already folded into sub
 }
 
-// newPump wraps a connection whose frames are bounded by maxLen. A
-// header announcing more is stream damage, skipped by magic-rescan.
+// newPump wraps a connection (or an shm link's frame queue) whose frames
+// are bounded by maxLen. A header announcing more is stream damage,
+// skipped by magic-rescan.
 func newPump(conn io.Reader, maxLen int, sub *Subscriber) *pump {
 	return &pump{ir: wire.NewIngressReader(conn, maxLen), sub: sub}
 }
@@ -166,7 +168,7 @@ func (c *sfmConn[T]) decode(rx *pump, n int, crc uint32) (bool, error) {
 	return c.receive(rx, n, nil, crc)
 }
 
-// Frames on a connection that negotiated shm lead with a one-byte tag:
+// Frames on an shm link's queue lead with a one-byte tag:
 // tagDescriptor frames carry a 24-byte shm descriptor instead of the
 // message bytes (the zero-copy path), tagInline frames carry the message
 // bytes themselves — the per-message fallback for messages whose arena
@@ -206,7 +208,7 @@ func (d *sfmTaggedDecoder[T]) decode(rx *pump, n int, crc uint32) (bool, error) 
 		if err != nil {
 			return false, nil
 		}
-		mem, release, err := d.mp.Resolve(desc)
+		mem, held, err := d.mp.Resolve(desc)
 		if err != nil {
 			// A stale or unmappable descriptor drops this message only;
 			// the stream stays healthy.
@@ -215,9 +217,9 @@ func (d *sfmTaggedDecoder[T]) decode(rx *pump, n int, crc uint32) (bool, error) 
 			}
 			return true, nil
 		}
-		buf, err := d.r.mgr.NewExternalBuffer(mem, release)
+		buf, err := d.r.mgr.NewExternalBuffer(mem, d.mp, held)
 		if err != nil {
-			release()
+			d.mp.ReleaseExternal(held)
 			return true, nil
 		}
 		return true, d.adopt(buf, mem, len(mem))

@@ -494,7 +494,6 @@ func (b *shardBatch) full() bool {
 }
 
 func (b *shardBatch) add(it shardItem) {
-	it.it.unshare = nil
 	if b.n == 0 {
 		b.firstSeq = it.seq
 	}

@@ -2,9 +2,11 @@ package ros
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +126,16 @@ func (r *shardRecorder) count() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.seqs)
+}
+
+// last returns the newest sequence number delivered, if any.
+func (r *shardRecorder) last() (seq uint64, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.seqs) == 0 {
+		return 0, false
+	}
+	return r.seqs[len(r.seqs)-1], true
 }
 
 func (r *shardRecorder) snapshot() ([]uint64, string) {
@@ -271,7 +283,7 @@ func TestShardRebalanceChurn(t *testing.T) {
 		nInit  = 40
 		nJoin  = 12
 		phaseA = 10  // flow-controlled warm-up frames
-		total  = 400 // frames published in all
+		total  = 400 // frames published at the least
 	)
 
 	pub, err := AdvertiseRaw(pubNode, "churn/out", "shard_test/Raw", "b0"+"0011223344556677889900112233", false, true,
@@ -333,11 +345,12 @@ func TestShardRebalanceChurn(t *testing.T) {
 	}
 	busiest.mu.Unlock()
 
+	// closeVictims marks the victims under the lock the publisher's pacing
+	// reads them under, and closes them outside it.
 	victimRecs := make(map[*shardRecorder]bool)
 	closeVictims := func() int {
+		var closing []*Subscriber
 		mu.Lock()
-		defer mu.Unlock()
-		closed := 0
 		for i, s := range subs {
 			s.mu.Lock()
 			victim := false
@@ -351,25 +364,62 @@ func TestShardRebalanceChurn(t *testing.T) {
 			s.mu.Unlock()
 			if victim {
 				victimRecs[recs[i]] = true
-				s.Close() // proper close: no reconnect, stream simply ends
-				closed++
+				closing = append(closing, s)
 			}
 		}
-		return closed
+		mu.Unlock()
+		for _, s := range closing {
+			s.Close() // proper close: no reconnect, stream simply ends
+		}
+		return len(closing)
 	}
 
-	// Live phase: publish continuously (paced well below the writers'
-	// capacity so queue overflow stays out of the picture) while the
-	// victim subscribers leave and fresh ones join.
+	// Live phase: publish continuously while the victim subscribers leave
+	// and fresh ones join. Nothing in it leans on the clock. The publisher
+	// holds while a stream it has already reached trails by a quarter of
+	// the queue, so a slow runner stalls the publisher instead of
+	// overflowing a shard; and it keeps publishing past `total` until the
+	// churn is over and every joiner is attached, then sends one frame
+	// more — the one frame every remaining subscriber is certain to be
+	// due, whenever it joined.
+	const window = 64
+	trailing := func(seq uint64) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			if victimRecs[r] {
+				continue
+			}
+			if at, ok := r.last(); ok && at+window < seq {
+				return true
+			}
+		}
+		return false
+	}
+	var churned atomic.Bool
 	var publishErr error
+	var last uint64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for seq := uint64(phaseA); seq < total; seq++ {
+		stalled := time.Now().Add(60 * time.Second)
+		for seq, final := uint64(phaseA), false; ; seq++ {
+			for trailing(seq) {
+				if time.Now().After(stalled) {
+					publishErr = fmt.Errorf("a subscriber stopped short of frame %d", seq)
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
 			if err := pub.PublishFrame(shardFrame(seq, shardFrameSize(seq))); err != nil {
 				publishErr = err
 				return
 			}
+			if final {
+				last = seq
+				return
+			}
+			final = seq+2 >= total && churned.Load()
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()
@@ -379,11 +429,25 @@ func TestShardRebalanceChurn(t *testing.T) {
 	if closedN == 0 {
 		t.Error("no victim subscribers matched the busiest shard's members")
 	}
+	// The joiners below would fill the hole the victims leave; hold them
+	// back until the rebalancer has moved a connection into it, which it
+	// does off the write failures the live stream runs into.
+	waitFor(t, 60*time.Second, "victims detached", func() bool {
+		return pub.NumSubscribers() == nInit-closedN
+	})
+	waitFor(t, 60*time.Second, "a rebalance into the emptied shard", func() bool {
+		ep.maybeRebalance()
+		return reg.Snapshot().Egress.Fanout.Rebalances > 0
+	})
 	rnd := rand.New(rand.NewSource(1))
 	for i := 0; i < nJoin; i++ {
 		time.Sleep(time.Duration(rnd.Intn(3)+1) * time.Millisecond)
 		addSub()
 	}
+	waitFor(t, 60*time.Second, "joiners attached", func() bool {
+		return pub.NumSubscribers() == nInit-closedN+nJoin
+	})
+	churned.Store(true)
 	<-done
 	if publishErr != nil {
 		t.Fatalf("publish during churn: %v", publishErr)
@@ -394,13 +458,12 @@ func TestShardRebalanceChurn(t *testing.T) {
 	mu.Lock()
 	activeRecs := append([]*shardRecorder(nil), recs...)
 	mu.Unlock()
-	waitFor(t, 30*time.Second, "tail delivery", func() bool {
+	waitFor(t, 60*time.Second, "tail delivery", func() bool {
 		for _, r := range activeRecs {
 			if victimRecs[r] {
 				continue
 			}
-			seqs, _ := r.snapshot()
-			if len(seqs) == 0 || seqs[len(seqs)-1] != total-1 {
+			if at, ok := r.last(); !ok || at != last {
 				return false
 			}
 		}

@@ -1,10 +1,11 @@
 package ros
 
 import (
+	"os"
+
 	"rossf/internal/core"
 	"rossf/internal/obs"
 	"rossf/internal/shm"
-	"rossf/internal/wire"
 )
 
 // Shared-memory transport: the publisher's per-connection grant and the
@@ -13,12 +14,25 @@ import (
 // frames are consumed, in pump.go.
 
 // shmSender is a pubConn's grant to publish into shared memory: the
-// node's store plus the peer lease (id and generation) the subscriber
-// holds.
+// node's store, the peer lease (id and generation) the subscriber
+// holds, and the write end of the link's frame queue — every frame of
+// an shm link, descriptor or inline fallback, travels through it and
+// none over the TCP connection, which stays behind as the handshake and
+// liveness channel.
 type shmSender struct {
 	store *shm.Store
 	peer  int
 	gen   uint32
+	queue *os.File
+}
+
+// close ends the grant: the subscriber reads end-of-stream off the
+// queue, and its lease drains — references it still holds are released
+// by its own process as callbacks finish, or reclaimed by the reaper
+// once its heartbeat goes stale.
+func (sh *shmSender) close() {
+	sh.queue.Close()
+	sh.store.RetirePeer(sh.peer)
 }
 
 // shmStats returns the node's shared-memory instruments, or nil when
@@ -65,11 +79,8 @@ func (ep *pubEndpoint) shmItemFor(c *pubConn, hold core.Ref, used int) (it frame
 		ep.noteShmFallback(used, shmLeaseLost)
 		return frameItem{}, false
 	}
-	it = frameItem{data: d.AppendTo(nil), tag: tagDescriptor, unshare: c.shm, slot: h}
-	// Descriptors are per-connection (24 bytes), so there is nothing to
-	// share across the fan-out — stamping here just moves the trivial
-	// hash off the write loop.
-	t := [1]byte{tagDescriptor}
-	it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
-	return it, true
+	// The descriptor travels by value and is encoded (and hashed, 25
+	// bytes) straight into the write loop's scratch: per connection there
+	// is nothing to share across the fan-out, and nothing to allocate.
+	return frameItem{desc: d, tag: tagDescriptor}, true
 }

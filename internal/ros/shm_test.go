@@ -214,6 +214,13 @@ func TestShmHeapArenaPromotion(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("delivery %d never arrived", i)
 		}
+		// Consumed means released, not merely handed to the callback: the
+		// subscription counts a message after it gave the slot back. A
+		// share minted while the previous reference is still held is
+		// cancelled by that reference's release and reads as stale.
+		eventually(t, "the delivery's slot reference to come back", func() bool {
+			return reg.Snapshot().Subscribers["lidar/cloud"].Messages == uint64(i+1)
+		})
 	}
 	if _, err := core.Release(img); err != nil {
 		t.Fatal(err)

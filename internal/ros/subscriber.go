@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -680,20 +682,25 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 	if err != nil {
 		return false, false
 	}
-	if !sc.bind(conn) {
-		conn.Close()
+	defer conn.Close()
+	o := s.offer(sc)
+	if !sc.bind(conn, o.queue) {
+		o.settle(false)
 		return false, false
 	}
-	defer conn.Close()
-	reply, err := exchange(conn, subscribeHeader(s.topic, s.typeName, s.md5, s.node.name, s.sfm, s.offer(sc)))
+	reply, err := exchange(conn, subscribeHeader(s.topic, s.typeName, s.md5, s.node.name, s.sfm, o))
+	mode := replyMode(reply) // plain for the nil reply of a failed exchange
+	o.settle(mode == modeShm)
 	if err != nil {
 		return false, errors.Is(err, errRefused)
 	}
 	var dec frameDecoder
+	var frames io.Reader = conn
 	maxLen := maxFrameSize
-	switch replyMode(reply) {
+	switch mode {
 	case modeShm:
-		mp, err := s.openShm(reply)
+		defer o.queue.Close()
+		mp, err := s.openShm(o, reply)
 		if err != nil {
 			// The publisher selected shm but this side cannot stand it up
 			// (never offered, incompatible segment layout, mapping failure,
@@ -705,7 +712,9 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 			return false, false
 		}
 		defer mp.Close()
-		dec, maxLen = s.decoders.shm(mp), maxTaggedFrameSize
+		// From here on the publisher writes every frame to the queue; the
+		// connection has done its part and only signals liveness.
+		dec, frames, maxLen = s.decoders.shm(mp), o.queue, maxTaggedFrameSize
 	case modeMasked:
 		if s.decoders.sparse == nil {
 			// The publisher accepted a mask this runtime cannot decode — a
@@ -718,7 +727,7 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 		dec = s.decoders.plain(reply)
 	}
 	s.notifyState(addr, ConnConnected)
-	newPump(conn, maxLen, s).run(dec) //nolint:errcheck // every exit is a redial
+	newPump(frames, maxLen, s).run(dec) //nolint:errcheck // every exit is a redial
 	return true, false
 }
 
@@ -761,10 +770,12 @@ func (s *Subscriber) Close() {
 
 // subConn tracks one outbound link so Close can interrupt a blocked
 // read or a backoff sleep. Across reconnect attempts the same subConn
-// is rebound to each new connection.
+// is rebound to each new connection, and to the frame queue offered
+// with it (nil when the dial offers no shm).
 type subConn struct {
 	mu       sync.Mutex
 	conn     net.Conn
+	queue    *os.File
 	closed   bool
 	declined capability // capabilities this link stopped offering after they failed on it
 	done     chan struct{}
@@ -774,13 +785,13 @@ func newSubConn() *subConn {
 	return &subConn{done: make(chan struct{})}
 }
 
-func (c *subConn) bind(conn net.Conn) bool {
+func (c *subConn) bind(conn net.Conn, queue *os.File) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return false
 	}
-	c.conn = conn
+	c.conn, c.queue = conn, queue
 	return true
 }
 
@@ -829,6 +840,9 @@ func (c *subConn) close() {
 	close(c.done)
 	if c.conn != nil {
 		c.conn.Close()
+	}
+	if c.queue != nil {
+		c.queue.Close() // the pump of an shm link is parked here, not on conn
 	}
 }
 

@@ -77,7 +77,7 @@ func TestLargeObjectRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatalf("Resolve of a large descriptor: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestLargeObjectRoundTrip(t *testing.T) {
 	if mem[size/4] != 0x77 {
 		t.Fatal("subscriber mapping does not alias the publisher's segment")
 	}
-	release()
+	m.ReleaseExternal(held)
 	s.Release(h, raw)
 	if !s.Idle() {
 		t.Fatal("store not idle after all releases")
@@ -214,14 +214,14 @@ func TestGrowArenaWithinStride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mem) != stride || mem[stride-1] != 0x5a {
 		t.Fatalf("resolved grown slot: len=%d last=%#x", len(mem), mem[len(mem)-1])
 	}
-	release()
+	m.ReleaseExternal(held)
 	s.Release(h, raw)
 	if !s.Idle() {
 		t.Fatal("store not idle")
@@ -398,7 +398,7 @@ func TestCloseDefersUnlinkUntilLeaseDrains(t *testing.T) {
 	if err := m.StartHeartbeat(16 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestCloseDefersUnlinkUntilLeaseDrains(t *testing.T) {
 	}
 	// Drain: the release returns the slot reference, the mapper's Close
 	// publishes the drained sentinel, and the janitor reaps + tears down.
-	release()
+	m.ReleaseExternal(held)
 	m.Close()
 	select {
 	case <-s.TeardownDone():

@@ -30,6 +30,12 @@ type Mapper struct {
 	ctl         []byte
 	stopHB      chan struct{}
 	hbDone      chan struct{}
+
+	// held is a slab of the outstanding resolutions, indexed by the high
+	// half of a resolution token; freeHeld heads the list of vacant
+	// entries (linked through next; indices are 1-based, 0 = none).
+	held     []heldSlot
+	freeHeld uint32
 }
 
 // NewMapper creates a mapper for the store at prefix, holding peer
@@ -123,6 +129,16 @@ func (m *Mapper) StartHeartbeat(interval time.Duration) error {
 	return nil
 }
 
+// heldSlot is one outstanding resolution. gen counts the entry's uses:
+// a token carries the gen it was minted under, so releasing a token
+// twice — or one from an earlier use of the entry — finds a different
+// gen and does nothing.
+type heldSlot struct {
+	st   *slotState // nil while the entry is vacant
+	gen  uint32
+	next uint32
+}
+
 // leaseHeldLocked reports whether this mapper's peer lease is still the
 // one the publisher issued it. With no control mapping or no lease
 // generation (direct test construction, old-build publisher) there is
@@ -134,27 +150,27 @@ func (m *Mapper) leaseHeldLocked() bool {
 	return peerAt(m.ctl, m.peer).gen.Load() == m.gen
 }
 
-// Resolve maps a descriptor to its payload bytes and returns a release
-// function that must be called exactly once when the subscriber is done
-// with the message (internal/ros wires it into the adopted message's
-// destructor). A generation mismatch — the slot was recycled, or this
+// Resolve maps a descriptor to its payload bytes and returns the token
+// that ReleaseExternal takes when the subscriber is done with the
+// message (internal/ros hands mapper and token to the adopted message's
+// record). A generation mismatch — the slot was recycled, or this
 // peer's lease was reaped — fails with an error wrapping
 // core.ErrStaleGeneration.
-func (m *Mapper) Resolve(d Descriptor) ([]byte, func(), error) {
+func (m *Mapper) Resolve(d Descriptor) ([]byte, uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if !m.leaseHeldLocked() {
-		return nil, nil, ErrStale
+		return nil, 0, ErrStale
 	}
 	seg := m.segs[d.SegID]
 	if seg == nil {
 		var err error
 		seg, err = openSegment(segPath(m.prefix, d.SegID), d.SegID)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		m.segs[d.SegID] = seg
 		m.stats.SegmentsMapped.Add(1)
@@ -164,7 +180,7 @@ func (m *Mapper) Resolve(d Descriptor) ([]byte, func(), error) {
 	// message that grew in place carries a length beyond slotSize, and
 	// the stride-wide window is mapped (sparsely) on this side too.
 	if int(d.Slot) >= seg.slotCount || int(d.Length) > seg.stride {
-		return nil, nil, fmt.Errorf("%w: descriptor out of bounds (slot %d, len %d)", ErrBadSegment, d.Slot, d.Length)
+		return nil, 0, fmt.Errorf("%w: descriptor out of bounds (slot %d, len %d)", ErrBadSegment, d.Slot, d.Length)
 	}
 	st := seg.slot(int(d.Slot))
 	bit := uint32(1) << uint(m.peer)
@@ -172,30 +188,49 @@ func (m *Mapper) Resolve(d Descriptor) ([]byte, func(), error) {
 	// means the publisher's reaper already took back this reference
 	// (lease expired), so the bytes may be recycled at any moment.
 	if st.gen.Load() != d.Gen || st.owner.Load()&bit == 0 {
-		return nil, nil, ErrStale
+		return nil, 0, ErrStale
 	}
 	m.outstanding++
-	mem := seg.dataSpan(int(d.Slot), int(d.Length))
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			m.mu.Lock()
-			// If the lease was reaped while this resolution was held, the
-			// reaper already returned the reference — and the peer id may
-			// have been re-leased, in which case the slot bit now counts
-			// for the new subscriber and must not be touched.
-			if m.leaseHeldLocked() {
-				releaseShared(st, m.peer)
-			}
-			m.outstanding--
-			done := m.closed && m.outstanding == 0
-			m.mu.Unlock()
-			if done {
-				m.finish()
-			}
-		})
+	i := m.freeHeld
+	if i == 0 {
+		m.held = append(m.held, heldSlot{})
+		i = uint32(len(m.held))
+	} else {
+		m.freeHeld = m.held[i-1].next
 	}
-	return mem, release, nil
+	e := &m.held[i-1]
+	e.st = st
+	return seg.dataSpan(int(d.Slot), int(d.Length)), uint64(i)<<32 | uint64(e.gen), nil
+}
+
+// ReleaseExternal returns the resolution token names: the slot
+// reference goes back and the mapper is unpinned. It implements
+// core.ExternalOwner, and is idempotent by generation — the first call
+// retires the token, every later one is a no-op.
+func (m *Mapper) ReleaseExternal(token uint64) {
+	i := uint32(token >> 32)
+	m.mu.Lock()
+	if i == 0 || int(i) > len(m.held) || m.held[i-1].st == nil || m.held[i-1].gen != uint32(token) {
+		m.mu.Unlock()
+		return
+	}
+	e := &m.held[i-1]
+	// If the lease was reaped while this resolution was held, the
+	// reaper already returned the reference — and the peer id may
+	// have been re-leased, in which case the slot bit now counts
+	// for the new subscriber and must not be touched.
+	if m.leaseHeldLocked() {
+		releaseShared(e.st, m.peer)
+	}
+	e.st, e.next = nil, m.freeHeld
+	e.gen++
+	m.freeHeld = i
+	m.outstanding--
+	done := m.closed && m.outstanding == 0
+	m.mu.Unlock()
+	if done {
+		m.finish()
+	}
 }
 
 // Outstanding reports resolutions not yet released (test visibility).

@@ -11,3 +11,7 @@ func mapFile(f *os.File, size int) ([]byte, error) { return nil, ErrUnavailable 
 func unmapFile(b []byte) error { return nil }
 
 func pidAlive(pid uint32) bool { return false }
+
+func CreateQueue() (*os.File, error) { return nil, ErrUnavailable }
+
+func OpenQueue(path string) (*os.File, error) { return nil, ErrUnavailable }

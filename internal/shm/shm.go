@@ -1,7 +1,8 @@
 // Package shm is the shared-memory inter-process transport: mmap-backed
 // arena segments created by a publisher, reference-counted across
-// process boundaries, and addressed by tiny descriptors carried over the
-// existing TCPROS-style connection.
+// process boundaries, and addressed by tiny descriptors carried over a
+// per-link named FIFO (queue_unix.go) that the TCPROS-style connection
+// negotiates.
 //
 // The split of responsibilities mirrors the paper's transparency goal:
 //

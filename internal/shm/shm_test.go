@@ -131,6 +131,67 @@ func TestAcquireReuseGeneration(t *testing.T) {
 	}
 }
 
+// TestResolutionTokenIsSpentOnce pins the idempotence the mapper's
+// release gets from the entry generation instead of a sync.Once per
+// resolution: a token releases its own resolution once, and neither a
+// second release nor one arriving after the entry was reused for a later
+// resolution touches anything.
+func TestResolutionTokenIsSpentOnce(t *testing.T) {
+	s := testStore(t, Options{})
+	peer, gen, err := s.AcquirePeer(1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMapper(s.Prefix(), peer, gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	share := func() (uint64, []byte, Descriptor) {
+		raw, h, ok := s.Acquire(4096)
+		if !ok {
+			t.Fatal("Acquire declined")
+		}
+		d, err := s.Share(h, peer, gen, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, raw, d
+	}
+	h1, raw1, d1 := share()
+	_, first, err := m.Resolve(d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseExternal(first)
+	h2, raw2, d2 := share()
+	_, second, err := m.Resolve(d2) // takes over the entry `first` vacated
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first>>32 != second>>32 || first == second {
+		t.Fatalf("tokens %#x then %#x: want the same entry under a new generation", first, second)
+	}
+	m.ReleaseExternal(first)
+	m.ReleaseExternal(0)
+	m.ReleaseExternal(^uint64(0))
+	if n := m.Outstanding(); n != 1 {
+		t.Fatalf("outstanding = %d after stale and malformed releases, want 1", n)
+	}
+	if refs, owner := s.SlotRefs(h2); refs != 2 || owner != 1<<uint(peer) {
+		t.Fatalf("a stale token released a live resolution: refs=%d owner=%#x", refs, owner)
+	}
+	m.ReleaseExternal(second)
+	if n := m.Outstanding(); n != 0 {
+		t.Fatalf("outstanding = %d after the last release", n)
+	}
+	s.Release(h1, raw1)
+	s.Release(h2, raw2)
+	if !s.Idle() {
+		t.Fatal("store not idle after all releases")
+	}
+}
+
 // TestShareResolveRoundTrip drives the full descriptor path inside one
 // process: publisher writes into a slot, shares it with a peer, the
 // mapper resolves the descriptor to the same bytes, and releases bring
@@ -160,15 +221,15 @@ func TestShareResolveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mem, payload) {
 		t.Fatal("resolved bytes differ from published bytes")
 	}
-	release()
-	release() // must be idempotent
+	m.ReleaseExternal(held)
+	m.ReleaseExternal(held) // must be idempotent
 	if refs, owner := s.SlotRefs(h); refs != 1 || owner != 0 {
 		t.Fatalf("after subscriber release: refs=%d owner=%#x", refs, owner)
 	}
@@ -313,7 +374,7 @@ func TestCloseDefersLeaseTeardown(t *testing.T) {
 	if err := m.StartHeartbeat(16 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +386,7 @@ func TestCloseDefersLeaseTeardown(t *testing.T) {
 	if !bytes.Equal(mem, payload) {
 		t.Fatal("mapped bytes changed while a resolution was outstanding")
 	}
-	release()
+	m.ReleaseExternal(held)
 	if n := m.Outstanding(); n != 0 {
 		t.Fatalf("outstanding = %d after release", n)
 	}
@@ -439,7 +500,7 @@ func TestLeaseGenerationGuardsReusedPeer(t *testing.T) {
 	if err := m.StartHeartbeat(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	_, release, err := m.Resolve(d)
+	_, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +529,7 @@ func TestLeaseGenerationGuardsReusedPeer(t *testing.T) {
 	}
 	// Its late release of the pre-reap resolution must not steal the new
 	// lease's reference.
-	release()
+	m.ReleaseExternal(held)
 	if refs, owner := s.SlotRefs(h); refs != 2 || owner != 1<<uint(peer2) {
 		t.Fatalf("stale release corrupted the re-leased peer: refs=%d owner=%#x", refs, owner)
 	}
@@ -518,11 +579,11 @@ func TestManagerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, release, err := m.Resolve(d)
+	mem, held, err := m.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := mgr.NewExternalBuffer(mem, release)
+	buf, err := mgr.NewExternalBuffer(mem, m, held)
 	if err != nil {
 		t.Fatal(err)
 	}

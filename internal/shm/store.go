@@ -186,7 +186,7 @@ func (s *Store) lookup(handle uint64) (*segment, int, bool) {
 // everything else. The only declines left — capacity above
 // MaxMessageBytes, store closed, segment creation failure — make the
 // manager fall back to its process-local heap, which at the transport
-// level means the message travels inline over TCP framing.
+// level means the message bytes travel inline in the frame.
 func (s *Store) Acquire(capacity int) ([]byte, uint64, bool) {
 	if capacity > maxSlotSize {
 		return s.acquireLarge(capacity)

@@ -29,9 +29,12 @@ const (
 	// TransportNameTCP is the universal fallback: message bytes framed
 	// over the connection itself.
 	TransportNameTCP = "tcp"
-	// TransportNameShm passes shared-memory descriptors over the
-	// connection instead of message bytes (same-machine peers only).
-	TransportNameShm = "shm"
+	// TransportNameShm passes shared-memory descriptors instead of message
+	// bytes (same-machine peers only), through a FIFO frame queue the
+	// subscriber names in its offer. Builds that passed descriptors over
+	// the connection itself called theirs "shm"; the names differ so a
+	// mixed pair shares only "tcp" and converges on it.
+	TransportNameShm = "shmq"
 )
 
 // AppendHeader encodes fields as a connection header (size prefix

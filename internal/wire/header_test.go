@@ -71,14 +71,15 @@ func TestTransportNegotiationConvergence(t *testing.T) {
 		{"", true, TransportNameTCP}, // old subscriber: no offer
 		{"", false, TransportNameTCP},
 		{"tcp", true, TransportNameTCP},         // explicit tcp-only offer
-		{"shm,tcp", true, TransportNameShm},     // mutual capability
-		{"shm,tcp", false, TransportNameTCP},    // publisher declines
-		{"shm", false, TransportNameTCP},        // no fallback listed: still tcp
-		{"SHM , TCP", true, TransportNameShm},   // case/space normalization
+		{"shmq,tcp", true, TransportNameShm},    // mutual capability
+		{"shmq,tcp", false, TransportNameTCP},   // publisher declines
+		{"shmq", false, TransportNameTCP},       // no fallback listed: still tcp
+		{"SHMQ , TCP", true, TransportNameShm},  // case/space normalization
+		{"shm,tcp", true, TransportNameTCP},     // descriptor-over-TCP build: a name this one does not speak
 		{"quantum,tcp", true, TransportNameTCP}, // unknown future transport
 		{"quantum", true, TransportNameTCP},
-		{",,,", true, TransportNameTCP},     // degenerate offers
-		{"shm;tcp", true, TransportNameTCP}, // wrong separator = one unknown name
+		{",,,", true, TransportNameTCP},      // degenerate offers
+		{"shmq;tcp", true, TransportNameTCP}, // wrong separator = one unknown name
 	}
 	for _, c := range cases {
 		if got := NegotiateTransport(c.offer, c.shmOK); got != c.want {
@@ -104,6 +105,7 @@ func TestParseTransports(t *testing.T) {
 // covering the old↔new negotiiation surface.
 func FuzzParseHeader(f *testing.F) {
 	f.Add([]byte{})
+	f.Add(AppendHeader(nil, map[string]string{"topic": "/t", "transports": "shmq,tcp"})[4:])
 	f.Add(AppendHeader(nil, map[string]string{"topic": "/t", "transports": "shm,tcp"})[4:])
 	f.Add(AppendHeader(nil, map[string]string{"transports": "warp9,,SHM;tcp"})[4:])
 	f.Add(AppendHeader(nil, map[string]string{"a": "b"})[4:])

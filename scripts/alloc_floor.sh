@@ -10,10 +10,10 @@
 set -euo pipefail
 seconds=${1:-3}
 
-# workload:budget — the steady-state path allocates nothing on TCP; the
-# budget of 2 leaves room for the runtime's own background objects. Shm
-# still pays for the encoded descriptor and the mapper's release hook.
-floors="tcp_4k_lockstep:2 shm_4k_lockstep:6 tcp_4k_stream:2 tcp_1m_sfm:2"
+# workload:budget — the steady-state path allocates nothing on any
+# transport; the budget of 2 leaves room for the runtime's own
+# background objects.
+floors="tcp_4k_lockstep:2 shm_4k_lockstep:2 tcp_4k_stream:2 tcp_1m_sfm:2"
 
 status=0
 for f in $floors; do

@@ -30,9 +30,25 @@ fi
 check "a type named frameReader exists" \
 	"$(grep -rn 'frameReader' --include='*.go' . || true)"
 
-keys='hdr(Transports|PID|BootID|Transport|ShmPrefix|ShmPeer|ShmLeaseMS|ShmGen|Fields|Fieldwire|FieldwireReject)\b'
+keys='hdr(Transports|PID|BootID|Transport|ShmPrefix|ShmPeer|ShmLeaseMS|ShmGen|ShmQueue|Fields|Fieldwire|FieldwireReject)\b'
 check "a negotiation header key is used outside internal/ros/capability.go" \
 	"$(grep -rnE "$keys" internal/ros --include='*.go' | nontest | grep -v '^internal/ros/capability\.go:' || true)"
+
+# The frame queue of an shm link (DESIGN §3.7) is one more io.Reader for
+# the same pump and one more sink for the same egress batch: a
+# subscription has one pump call site whatever it reads, the queue's two
+# ends are opened by the capability exchange alone, and the batch that
+# frames descriptors does not know what a net.Conn is.
+pumps=$(grep -n 'newPump(' internal/ros/subscriber.go || true)
+if [ "$(printf '%s\n' "$pumps" | grep -c . || true)" -ne 1 ]; then
+	check "a subscription link starts its pump in one place, socket or queue" "${pumps:-no newPump( call in internal/ros/subscriber.go}"
+fi
+
+check "a frame queue end is opened outside internal/ros/capability.go" \
+	"$(grep -rnE 'shm\.(Create|Open)Queue' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/capability\.go:' || true)"
+
+check "the egress batch writes to a net.Conn (descriptor frames go to the queue)" \
+	"$(grep -n 'net\.Conn' internal/ros/egress.go || true)"
 
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"

@@ -104,7 +104,7 @@ if command -v jq >/dev/null 2>&1; then
              and has("promotions") and has("leases_reaped"))
         and (.obs.shm.fallbacks_by_reason
              | has("oversized") and has("heap_arena") and has("peer_table_full")
-               and has("remote_peer") and has("old_build"))
+               and has("remote_peer") and has("old_build") and has("no_queue"))
         and (.obs.fieldwire | has("masked_subscriptions") and has("sparse_frames")
              and has("full_frames") and has("bytes_saved") and has("mask_rejects")
              and has("decode_errors") and has("mask_fallbacks"))
