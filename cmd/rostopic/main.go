@@ -251,6 +251,9 @@ func stats(master *ros.RemoteMaster, reg *obs.Registry, topic string, duration t
 		s.Drops, s.Reconnects, s.Corrupt, s.Stale)
 	fmt.Printf("latency:   p50 %v   p95 %v   p99 %v   (min %v, max %v)\n",
 		s.Latency.P50, s.Latency.P95, s.Latency.P99, s.Latency.Min, s.Latency.Max)
+	if p, ok := snap.Publishers[topic]; ok && p.Drops > 0 {
+		fmt.Printf("publisher: %d drops   %d oversized (above a link's frame cap)\n", p.Drops, p.DropsOversized)
+	}
 	if sh := snap.Shm; sh.SegmentsMapped > 0 || sh.DescriptorSends > 0 || sh.Fallbacks > 0 {
 		fmt.Printf("shm:       %d segments mapped (%d bytes)   %d descriptor transfers   %d promotions   %d tcp fallbacks   %d leases reaped\n",
 			sh.SegmentsMapped, sh.BytesShared, sh.DescriptorSends, sh.Promotions, sh.Fallbacks, sh.LeasesReaped)

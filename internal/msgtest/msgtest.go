@@ -1,9 +1,11 @@
 // Package msgtest provides shared test fixtures: a registry loaded with
 // the repository's .msg IDL tree, located by walking up from the test's
-// working directory to the module root.
+// working directory to the module root, and the skip every test uses
+// when this host cannot verify what it checks.
 package msgtest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,3 +49,15 @@ func LoadRegistry(t testing.TB) *msg.Registry {
 
 // ModuleRootB is ModuleRoot for benchmarks.
 func ModuleRootB(b *testing.B) string { return ModuleRoot(b) }
+
+// NotVerified skips t, first printing "NOT VERIFIED: <test>: <why>" to
+// stderr, so a green run still names what this host could not check.
+// It is for skips the environment forces (no shared-memory directory,
+// too little free space, no child processes); a skip the test chooses —
+// -short, a helper process's entry point — is listed in TESTING.md.
+func NotVerified(t testing.TB, format string, args ...any) {
+	t.Helper()
+	why := fmt.Sprintf(format, args...)
+	fmt.Fprintf(os.Stderr, "NOT VERIFIED: %s: %s\n", t.Name(), why)
+	t.Skip("not verified: " + why)
+}

@@ -86,9 +86,12 @@ func (g *Gauge) SetMax(v int64) {
 type PubStats struct {
 	Messages Counter // publishes fanned out
 	Bytes    Counter // payload bytes handed to the transport
-	Drops    Counter // frames dropped by per-connection send queues
+	Drops    Counter // frames dropped on the way to a link, for any reason
 	FanOut   Gauge   // current subscriber connections (TCP + in-process)
 	Latched  Gauge   // 1 when a latched message is retained
+	// DropsOversized is the part of Drops the egress encoder refused:
+	// frames above the frame cap of the link they were bound for.
+	DropsOversized Counter
 }
 
 // SubStats instruments one subscriber.
@@ -467,11 +470,12 @@ func (r *Registry) Service(name string) *ServiceStats {
 
 // PubSnapshot is the JSON form of one publisher's instruments.
 type PubSnapshot struct {
-	Messages uint64 `json:"messages"`
-	Bytes    uint64 `json:"bytes"`
-	Drops    uint64 `json:"drops"`
-	FanOut   int64  `json:"fan_out"`
-	Latched  int64  `json:"latched"`
+	Messages       uint64 `json:"messages"`
+	Bytes          uint64 `json:"bytes"`
+	Drops          uint64 `json:"drops"`
+	DropsOversized uint64 `json:"drops_oversized"`
+	FanOut         int64  `json:"fan_out"`
+	Latched        int64  `json:"latched"`
 }
 
 // SubSnapshot is the JSON form of one subscriber's instruments.
@@ -752,11 +756,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, v := range pubs {
 		snap.Publishers[k] = PubSnapshot{
-			Messages: v.Messages.Load(),
-			Bytes:    v.Bytes.Load(),
-			Drops:    v.Drops.Load(),
-			FanOut:   v.FanOut.Load(),
-			Latched:  v.Latched.Load(),
+			Messages:       v.Messages.Load(),
+			Bytes:          v.Bytes.Load(),
+			Drops:          v.Drops.Load(),
+			DropsOversized: v.DropsOversized.Load(),
+			FanOut:         v.FanOut.Load(),
+			Latched:        v.Latched.Load(),
 		}
 	}
 	for k, v := range subs {

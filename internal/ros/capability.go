@@ -55,7 +55,7 @@ const (
 	capFields                        // sparse field-masked payloads
 )
 
-// linkMode is the outcome of one exchange.
+// linkMode is the outcome of one exchange; it fixes the link's framing.
 type linkMode uint8
 
 const (
@@ -96,7 +96,7 @@ func (n *Node) noteReject(r reject) {
 			st.FallbackNoQueue.Inc()
 		}
 	}
-	if fw := n.fieldwireStats(); fw != nil && r.cap == capFields {
+	if fw := n.metrics.Fieldwire(); fw != nil && r.cap == capFields {
 		fw.MaskRejects.Inc()
 		switch r.reason {
 		case fieldwire.ReasonNoMap:
@@ -325,7 +325,7 @@ func (a *answer) commit(ep *pubEndpoint) {
 		}
 	}
 	if a.mask != nil {
-		if fw := ep.node.fieldwireStats(); fw != nil {
+		if fw := ep.node.metrics.Fieldwire(); fw != nil {
 			fw.MaskedSubscriptions.Inc()
 		}
 	}

@@ -49,9 +49,7 @@ func capsEndpoint(sfm bool, typeName string, store *shm.Store) (*pubEndpoint, *o
 // snapshot shows only what its answers committed.
 func capsStore(t *testing.T, lease time.Duration) *shm.Store {
 	t.Helper()
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	s, err := shm.NewStore(shm.Options{Dir: t.TempDir(), LeaseTimeout: lease})
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -223,9 +221,7 @@ func TestCapabilityTable(t *testing.T) {
 // a capability only when the runtime has a decoder for it, the
 // subscription's options allow it, and the link has not declined it.
 func TestOfferDerivesFromDecoders(t *testing.T) {
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
 	typed := (&sfmRuntime[queueMsg]{}).decoders()
 	rawSFM := rawDecoders(&Subscriber{sfm: true}, nil)

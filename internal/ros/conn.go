@@ -52,9 +52,9 @@ const MaxTCPFrameBytes = maxFrameSize
 // inline trip on the same connection (a transient per-message
 // fallback), so this cap must match shm.MaxMessageBytes — and these
 // links are same-machine loopback, where a corrupted length field is
-// not a realistic failure, so the loose bound costs nothing. Messages
-// above maxFrameSize cannot ship inline on plain TCP links (remote
-// peers); that cross-machine path is the TZC roadmap item.
+// not a realistic failure, so the loose bound costs nothing. The egress
+// batch refuses a message above maxFrameSize on a plain TCP link (a
+// remote peer); that cross-machine path is the TZC roadmap item.
 const maxTaggedFrameSize = shm.MaxMessageBytes + 1
 
 // ErrHandshake reports a connection-header negotiation failure.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"testing"
 	"time"
 	"unsafe"
@@ -98,6 +99,46 @@ func TestPublishSFMHashesOncePerFanout(t *testing.T) {
 		}
 		core.Release(m)
 	}
+
+	// A forced shard pool, 2 shards x 3 members: the publish hashes the
+	// payload once, before it takes the snapshot, and stamps the one item
+	// each shard gets; the shards' encoders, writing the run to every
+	// member, hash nothing.
+	ep := metricEndpoint(nil)
+	ep.pool = &egressShardPool{ep: ep}
+	for i := 0; i < 2; i++ {
+		s := &egressShard{ep: ep, pool: ep.pool, ch: make(chan shardItem, 1)}
+		for j := 0; j < 3; j++ {
+			s.members = append(s.members, &pubConn{conn: discardConn{}, stop: make(chan struct{})})
+		}
+		ep.pool.shards = append(ep.pool.shards, s)
+	}
+	ep.poolActive.Store(true)
+	m, err := core.NewWithCapacity[queueMsg](1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := core.UsedSize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := wire.ChecksumBytes()
+	if err := publishSFM(ep, m); err != nil {
+		t.Fatal(err)
+	}
+	if d := wire.ChecksumBytes() - before; d != uint64(used) {
+		t.Fatalf("sharded: publish hashed %d bytes, want %d", d, used)
+	}
+	before = wire.ChecksumBytes()
+	for _, s := range ep.pool.shards {
+		b := newShardBatch(s)
+		s.service(<-s.ch, b)
+		b.close()
+	}
+	if d := wire.ChecksumBytes() - before; d != 0 {
+		t.Fatalf("sharded: shard encoders hashed %d bytes, want 0", d)
+	}
+	core.Release(m)
 }
 
 // TestBatchStreamDecodesToFrames is the batch framing property test: the
@@ -313,8 +354,9 @@ func TestBatchStreamTagged(t *testing.T) {
 // several queued frames is one write, and the sub-threshold frames are
 // counted as coalesced.
 func TestBatchCoalescingCounts(t *testing.T) {
-	st := obs.NewRegistry().Egress()
-	pc := &pubConn{conn: discardConn{}, stop: make(chan struct{}), egress: st}
+	reg := obs.NewRegistry()
+	st := reg.Egress()
+	pc := &pubConn{ep: metricEndpoint(reg), conn: discardConn{}, stop: make(chan struct{})}
 	b := newEgressBatch(pc)
 	small, large := make([]byte, 100), make([]byte, coalesceThreshold+1)
 	for i := 0; i < 3; i++ {
@@ -333,50 +375,111 @@ func TestBatchCoalescingCounts(t *testing.T) {
 	}
 }
 
+// metricEndpoint is an endpoint whose node reports into reg.
+func metricEndpoint(reg *obs.Registry) *pubEndpoint {
+	return &pubEndpoint{node: &Node{metrics: reg}, att: &attachments{}}
+}
+
 // TestBatchedEgressZeroAllocs pins the fast-path cost contract: once a
-// connection's batch state is warm, collecting queued SFM frames and
-// flushing them as a vectored write allocates nothing — with the
-// instruments enabled.
+// batch is warm, encoding queued SFM frames and writing them as a
+// vectored write allocates nothing — with the instruments enabled, in
+// every framing: plain, tagged (descriptors and inline copies), sparse,
+// and a shard run written to a fresh and a just-migrated member.
 func TestBatchedEgressZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison")
 	}
+	reg := obs.NewRegistry()
 	small := bytes.Repeat([]byte{0xAB}, 1024)
 	large := bytes.Repeat([]byte{0xCD}, 16*1024)
 	smallCRC, largeCRC := wire.Checksum(small), wire.Checksum(large)
-	pc := &pubConn{
-		conn:   discardConn{},
-		stop:   make(chan struct{}),
-		egress: obs.NewRegistry().Egress(),
-	}
-	b := newEgressBatch(pc)
-	defer b.close()
+	plain := newEgressBatch(&pubConn{ep: metricEndpoint(reg), conn: discardConn{}, stop: make(chan struct{})})
+	defer plain.close()
 
-	measure := func() int64 {
-		res := testing.Benchmark(func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				for j := 0; j < 6; j++ {
-					b.add(frameItem{data: small, crc: smallCRC, crcOK: true})
-				}
-				b.add(frameItem{data: large, crc: largeCRC, crcOK: true})
-				if !b.flush() {
-					bb.Fatal("flush failed")
-				}
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	tagged := newEgressBatch(&pubConn{ep: metricEndpoint(reg), stop: make(chan struct{}), shm: &shmSender{queue: devNull}})
+	defer tagged.close()
+
+	sparse := newEgressBatch(&pubConn{ep: metricEndpoint(reg), conn: discardConn{}, stop: make(chan struct{}), mask: goldenMask(t)})
+	defer sparse.close()
+	records := [][]byte{
+		goldenRecord(1, []byte("cam0"), large),
+		goldenRecord(2, bytes.Repeat([]byte{'n'}, 6000), small),
+		small[:10], // too short to slice: a full-fallback frame
+	}
+
+	ep := metricEndpoint(reg)
+	shard := &egressShard{ep: ep, stats: reg.EgressShard()}
+	fresh := &pubConn{conn: discardConn{}, stop: make(chan struct{})}
+	migrated := &pubConn{conn: discardConn{}, stop: make(chan struct{})}
+	shard.members = []*pubConn{fresh, migrated}
+	run := newShardBatch(shard)
+	defer run.close()
+	var seq uint64
+
+	for _, c := range []struct {
+		name string
+		op   func() bool
+	}{
+		{"plain", func() bool {
+			for j := 0; j < 6; j++ {
+				plain.add(frameItem{data: small, crc: smallCRC, crcOK: true})
 			}
-		})
-		return res.AllocsPerOp()
-	}
-	// A stray GC or background goroutine can perturb a single run; take
-	// the best of 3.
-	allocs := measure()
-	for i := 0; i < 2 && allocs > 0; i++ {
-		if v := measure(); v < allocs {
-			allocs = v
+			plain.add(frameItem{data: large, crc: largeCRC, crcOK: true})
+			return plain.flush()
+		}},
+		{"tagged", func() bool {
+			tagged.add(frameItem{desc: shm.Descriptor{SegID: 1, Slot: 2, Length: 1024}, tag: tagDescriptor})
+			tagged.add(frameItem{data: small, tag: tagInline})
+			tagged.add(frameItem{data: large})
+			return tagged.flush()
+		}},
+		{"sparse", func() bool {
+			for _, r := range records {
+				sparse.add(frameItem{data: r})
+			}
+			return sparse.flush()
+		}},
+		{"shard run", func() bool {
+			migrated.lastSeq = seq + 2 // its previous shard wrote the run's first two frames
+			for j := 0; j < 6; j++ {
+				seq++
+				shard.seqs[run.n] = seq
+				run.add(frameItem{data: small, crc: smallCRC, crcOK: true})
+			}
+			seq++
+			shard.seqs[run.n] = seq
+			run.add(frameItem{data: large, crc: largeCRC, crcOK: true})
+			shard.flushRun(run)
+			return true
+		}},
+	} {
+		measure := func() int64 {
+			res := testing.Benchmark(func(bb *testing.B) {
+				bb.ReportAllocs()
+				for i := 0; i < bb.N; i++ {
+					if !c.op() {
+						bb.Fatal("flush failed")
+					}
+				}
+			})
+			return res.AllocsPerOp()
 		}
-	}
-	if allocs != 0 {
-		t.Fatalf("batched egress allocs/op = %d, want 0", allocs)
+		// A stray GC or background goroutine can perturb a single run; take
+		// the best of 3.
+		allocs := measure()
+		for i := 0; i < 2 && allocs > 0; i++ {
+			if v := measure(); v < allocs {
+				allocs = v
+			}
+		}
+		if allocs != 0 {
+			t.Errorf("%s: batched egress allocs/op = %d, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -253,6 +253,20 @@ func (ep *pubEndpoint) noteShmFallback(used int, outcome shmOutcome) {
 	}
 }
 
+// refuseOversized counts a size-byte frame the egress encoder refused for
+// being above its links' frame cap — a drop on each, by reason — and warns
+// once per endpoint. None of its bytes reached them, so they stay up.
+func (ep *pubEndpoint) refuseOversized(size, links int) {
+	if st := ep.stats; st != nil {
+		st.Drops.Add(uint64(links))
+		st.DropsOversized.Add(uint64(links))
+	}
+	if !ep.oversizeWarned.Swap(true) {
+		log.Printf("ros: topic %q dropped a %d-byte frame above its link's frame cap (plain TCP carries at most %d bytes); see drops_oversized in /metrics or `rostopic stats`",
+			ep.topic, size, maxFrameSize)
+	}
+}
+
 // inprocTarget is a same-process subscriber attachment.
 type inprocTarget interface {
 	// deliverShared hands over a shared serialization-free message of
@@ -337,8 +351,10 @@ type pubEndpoint struct {
 	shmFallbacks      atomic.Uint64
 	shmFallbackWarned atomic.Bool
 	// maskRejectWarned arms the warn-once log for rejected subscriber
-	// field masks (see answer.commit).
+	// field masks (see answer.commit), oversizeWarned the one for frames
+	// refused by a link's frame cap (see refuseOversized).
 	maskRejectWarned atomic.Bool
+	oversizeWarned   atomic.Bool
 
 	mu sync.Mutex
 	// pubSeq numbers publishes. An attachment notes the sequence current
@@ -554,13 +570,10 @@ func (ep *pubEndpoint) fanout(frame []byte, msg any, hold core.Ref, l *latchedMs
 			continue
 		}
 		switch {
-		case c.shm != nil:
+		case stamp && c.shm != nil:
 			// Tagged connections (raw SFM publishers can negotiate shm
 			// too) frame message bytes as tagInline||bytes.
-			it.tag = tagInline
-			if stamp {
-				it.crc, it.crcOK = crcs.inline(frame), true
-			}
+			it.crc, it.crcOK = crcs.inline(frame), true
 		case stamp:
 			it.crc, it.crcOK = crcs.plain(frame), true
 		}
@@ -626,14 +639,12 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 	conn.SetDeadline(time.Time{})
 
 	pc := &pubConn{
-		conn:         conn,
-		writeTimeout: ep.writeTimeout,
-		stats:        ep.stats,
-		egress:       ep.node.metrics.Egress(),
-		shm:          a.shm,
-		mask:         a.mask,
-		fw:           ep.node.fieldwireStats(),
-		stop:         make(chan struct{}),
+		ep:    ep,
+		conn:  conn,
+		stats: ep.stats,
+		shm:   a.shm,
+		mask:  a.mask,
+		stop:  make(chan struct{}),
 	}
 	ep.mu.Lock()
 	if ep.closed {
@@ -734,17 +745,6 @@ func (ep *pubEndpoint) dropConn(pc *pubConn) {
 	pc.teardown()
 }
 
-// dropShardConn detaches a failed sharded connection from its shard and
-// tears it down. Called by the shard's own goroutine, which is the only
-// writer to pc, so no other delivery can be in flight.
-func (ep *pubEndpoint) dropShardConn(s *egressShard, pc *pubConn) {
-	if s.removeMember(pc) {
-		s.stats.Conns.Add(-1)
-		s.pool.fanout.ShardedConns.Add(-1)
-	}
-	pc.teardown()
-}
-
 // maybeRebalance moves one connection from the most- to the
 // least-loaded shard when departures have skewed the pool. The move is
 // enqueued through the source shard's queue (ordered with its
@@ -752,10 +752,6 @@ func (ep *pubEndpoint) dropShardConn(s *egressShard, pc *pubConn) {
 func (ep *pubEndpoint) maybeRebalance() {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.rebalanceLocked()
-}
-
-func (ep *pubEndpoint) rebalanceLocked() {
 	p := ep.pool
 	if p == nil || ep.closed {
 		return
@@ -823,14 +819,12 @@ func (ep *pubEndpoint) close() {
 // a TCP connection that carries the frames, or — when it negotiated shm
 // — only the handshake, the frames riding the grant's queue.
 type pubConn struct {
-	conn         net.Conn
-	writeTimeout time.Duration
-	stats        *obs.PubStats       // nil when metrics are disabled
-	egress       *obs.EgressStats    // nil when metrics are disabled
-	shm          *shmSender          // non-nil on connections that negotiated shm
-	mask         *fieldwire.Mask     // non-nil on connections that negotiated a field mask
-	fw           *obs.FieldwireStats // nil when metrics are disabled
-	ch           chan frameItem
+	ep    *pubEndpoint // its write timeout and instruments are the connection's
+	conn  net.Conn
+	stats *obs.PubStats   // nil when metrics are disabled
+	shm   *shmSender      // non-nil on connections that negotiated shm
+	mask  *fieldwire.Mask // non-nil on connections that negotiated a field mask
+	ch    chan frameItem
 
 	// lastSeq is the newest broadcast sequence already written to a
 	// SHARDED connection — the delivery gate of shard.go. It is accessed
@@ -894,31 +888,12 @@ func (pc *pubConn) discard(it frameItem) {
 	it.release()
 }
 
-// connBatch is the write stage of one connection: frames as they were
-// queued (egressBatch), or each message sliced down to its negotiated
-// field mask (sparseBatch). Publish-time fan-out is the same either way
-// — masked and unmasked subscribers share the very same queue items.
-type connBatch interface {
-	add(frameItem)
-	full() bool
-	flush() bool
-	close()
-}
-
-// writeLoop drains the outbound queue in adaptive batches: it blocks
-// for one item, then collects whatever is already queued — never
-// waiting for more, so an unloaded connection keeps per-frame latency —
-// and ships the run as one vectored write with one deadline (see
-// egress.go). A failed write (including a deadline hit from a
+// writeLoop feeds the outbound queue to the link's egress batch
+// (egress.go). A failed write (including a deadline hit from a
 // subscriber that stopped draining the socket) drops the connection;
 // the subscriber's retry loop re-establishes the link once it recovers.
 func (pc *pubConn) writeLoop() {
-	var b connBatch
-	if pc.mask != nil {
-		b = newSparseBatch(pc)
-	} else {
-		b = newEgressBatch(pc)
-	}
+	b := newEgressBatch(pc)
 	defer b.close()
 	for {
 		select {

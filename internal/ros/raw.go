@@ -99,7 +99,7 @@ func rawDecoders(s *Subscriber, cb func(RawMessage)) decoderSet {
 	d := decoderSet{plain: func(reply map[string]string) frameDecoder { return link(reply) }}
 	if s.sfm {
 		d.sparse = func(reply map[string]string, sc *subConn) frameDecoder {
-			return &sparseDecoder{sink: link(reply), link: sc, fw: s.node.fieldwireStats()}
+			return &sparseDecoder{sink: link(reply), link: sc, fw: s.node.metrics.Fieldwire()}
 		}
 	}
 	return d

@@ -1,12 +1,10 @@
 package ros
 
 import (
-	"net"
+	"slices"
 	"sync"
-	"time"
 
 	"rossf/internal/obs"
-	"rossf/internal/wire"
 )
 
 // Sharded egress fan-out (DESIGN.md §3.10).
@@ -17,11 +15,10 @@ import (
 // shard pool bounds that cost. Subscriber connections are partitioned
 // across a small fixed pool of egress shards; a publish enqueues ONE
 // item per shard (O(shards) wakeups), and each shard's loop encodes the
-// pending run of frames once — headers, coalesced small payloads, the
-// publish-time CRC — then replays the encoded vectors to every member
-// connection as one vectored write each. The arena is referenced once
-// per shard instead of once per subscriber, and the checksum is shared
-// by all of them.
+// pending run once in an egress batch (egress.go) and writes it to every
+// member as one vectored write each. The arena is referenced once per
+// shard instead of once per subscriber, and the checksum is shared by
+// all of them.
 //
 // Membership changes ride the same queues as data. A join targets the
 // least-loaded shard and happens under the endpoint lock, atomically
@@ -65,6 +62,13 @@ const (
 	// nothing in idle latency.
 	shardMaxBatchFrames = 64
 	shardMaxBatchBytes  = 512 << 10
+
+	// shardQueueFloor is the least depth of a shard's queue, which is
+	// otherwise the endpoint's queue_size. A shard drop loses one publish
+	// for every member at once, so the floor keeps small per-subscriber
+	// queue_size values (the default is 16) from turning into whole-shard
+	// losses under short bursts.
+	shardQueueFloor = 64
 )
 
 // shardItem is one entry in a shard's queue: a broadcast frame (seq set,
@@ -96,12 +100,11 @@ func newEgressShardPool(ep *pubEndpoint, n int) *egressShardPool {
 	p := &egressShardPool{ep: ep, fanout: ep.node.metrics.Fanout()}
 	for i := 0; i < n; i++ {
 		s := &egressShard{
-			ep:     ep,
-			pool:   p,
-			ch:     make(chan shardItem, shardQueueDepth(ep.queueSize)),
-			stop:   make(chan struct{}),
-			stats:  ep.node.metrics.EgressShard(),
-			egress: ep.node.metrics.Egress(),
+			ep:    ep,
+			pool:  p,
+			ch:    make(chan shardItem, max(ep.queueSize, shardQueueFloor)),
+			stop:  make(chan struct{}),
+			stats: ep.node.metrics.EgressShard(),
 		}
 		p.shards = append(p.shards, s)
 		p.fanout.ActiveShards.Add(1)
@@ -112,18 +115,6 @@ func newEgressShardPool(ep *pubEndpoint, n int) *egressShardPool {
 		}()
 	}
 	return p
-}
-
-// shardQueueDepth sizes a shard's queue from the endpoint's queue_size.
-// A shard drop loses one publish for every member at once, so the floor
-// keeps small per-subscriber queue_size values (the default is 16) from
-// turning into whole-shard losses under short bursts.
-func shardQueueDepth(queueSize int) int {
-	const floor = 64
-	if queueSize < floor {
-		return floor
-	}
-	return queueSize
 }
 
 // join assigns a new connection to the least-loaded shard. Caller holds
@@ -168,24 +159,36 @@ func (p *egressShardPool) stopAll() {
 // egressShard is one writev loop multiplexing a subset of the
 // endpoint's subscriber connections.
 type egressShard struct {
-	ep     *pubEndpoint
-	pool   *egressShardPool
-	ch     chan shardItem
-	stop   chan struct{}
-	stats  *obs.EgressShardStats // nil when metrics are disabled
-	egress *obs.EgressStats      // nil when metrics are disabled
+	ep    *pubEndpoint
+	pool  *egressShardPool
+	ch    chan shardItem
+	stop  chan struct{}
+	stats *obs.EgressShardStats // nil when metrics are disabled
 
 	mu      sync.Mutex
 	members []*pubConn
 	// doneSeq is the highest broadcast sequence this shard has claimed
 	// for delivery; guarded by mu. See the exactly-once gate above.
 	doneSeq uint64
+
+	// seqs holds the publish sequence of each item in the pending batch,
+	// and memberScratch the members a run is written to; only the shard's
+	// loop touches either.
+	seqs          [shardMaxBatchFrames]uint64
+	memberScratch []*pubConn
 }
 
 func (s *egressShard) memberCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.members)
+}
+
+// hasMember reports whether pc is (still) a member.
+func (s *egressShard) hasMember(pc *pubConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Contains(s.members, pc)
 }
 
 // removeMember detaches pc if it is (still) a member, reporting whether
@@ -261,10 +264,18 @@ func (s *egressShard) run() {
 	}
 }
 
+// newShardBatch makes a shard's batch: plain framing — sharded links
+// never negotiate shm or a mask — at the deeper shard caps, written to
+// each member instead of to one sink.
+func newShardBatch(s *egressShard) *egressBatch {
+	b := &egressBatch{writeTimeout: s.ep.writeTimeout, ep: s.ep, stats: s.ep.node.metrics.Egress(), shard: s.stats}
+	return b.size(shardMaxBatchFrames, shardMaxBatchBytes)
+}
+
 // service processes the queue until it runs dry, flushing the pending
 // broadcast run before any control item so queue order is preserved on
 // the wire.
-func (s *egressShard) service(cur shardItem, b *shardBatch) {
+func (s *egressShard) service(cur shardItem, b *egressBatch) {
 	for {
 		switch {
 		case cur.move != nil:
@@ -274,7 +285,8 @@ func (s *egressShard) service(cur shardItem, b *shardBatch) {
 			s.flushRun(b)
 			s.deliverTargeted(cur, b)
 		default:
-			b.add(cur)
+			s.seqs[b.n] = cur.seq
+			b.add(cur.it)
 			if b.full() {
 				s.flushRun(b)
 			}
@@ -292,88 +304,74 @@ func (s *egressShard) service(cur shardItem, b *shardBatch) {
 }
 
 // flushRun claims the pending run, encodes it once, and writes it to
-// every member. Failed members are dropped after the run (never
+// every member — all of it to a member that has none of it, the unseen
+// suffix to one that just migrated in after its previous shard wrote a
+// prefix. Failed members are dropped after the run (never
 // mid-iteration) and trigger a rebalance check.
-func (s *egressShard) flushRun(b *shardBatch) {
+func (s *egressShard) flushRun(b *egressBatch) {
 	if b.n == 0 {
 		return
 	}
+	last := s.seqs[b.n-1] // items arrive in sequence order
 	// Claim before delivering: once doneSeq covers the run, a migration
 	// admitted by another shard can no longer race these sequences.
 	s.mu.Lock()
-	if b.lastSeq > s.doneSeq {
-		s.doneSeq = b.lastSeq
+	if last > s.doneSeq {
+		s.doneSeq = last
 	}
-	members := append(b.memberScratch[:0], s.members...)
+	members := append(s.memberScratch[:0], s.members...)
 	s.mu.Unlock()
-	b.memberScratch = members[:0]
+	s.memberScratch = members[:0]
 
 	var failed []*pubConn
 	if len(members) > 0 {
-		b.encode()
+		b.encode(len(members))
 		for _, c := range members {
-			if !b.writeTo(c) {
+			from, _ := slices.BinarySearch(s.seqs[:b.n], c.lastSeq+1) // the first frame c has not seen
+			c.lastSeq = last
+			if !b.writeTo(c.conn, from) {
 				failed = append(failed, c)
 			}
 		}
 	}
 	b.reset()
 	if len(failed) > 0 {
-		for _, c := range failed {
-			s.ep.dropShardConn(s, c)
-		}
-		s.ep.maybeRebalance()
+		s.drop(failed...)
 	}
 }
 
 // deliverTargeted writes one frame to one member (latched delivery to a
-// late joiner). The seq gate is bypassed and lastSeq untouched: the
-// latch carries an old sequence by definition. Join-time enqueue order
-// guarantees the target is still a member here unless it already failed
-// — a migration for it can only sit LATER in this queue.
-func (s *egressShard) deliverTargeted(cur shardItem, b *shardBatch) {
+// late joiner) as a one-item batch. The seq gate is bypassed and lastSeq
+// untouched: the latch carries an old sequence by definition. Join-time
+// enqueue order guarantees the target is still a member here unless it
+// already failed — a migration for it can only sit LATER in this queue.
+func (s *egressShard) deliverTargeted(cur shardItem, b *egressBatch) {
 	c := cur.only
-	s.mu.Lock()
-	member := false
-	for _, m := range s.members {
-		if m == c {
-			member = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !member {
+	if !s.hasMember(c) {
 		cur.it.release()
 		return
 	}
-	p := cur.it.data
-	crc := cur.it.crc
-	if !cur.it.crcOK {
-		crc = wire.Checksum(p)
+	b.add(cur.it)
+	b.encode(1)
+	ok := b.writeTo(c.conn, 0)
+	b.reset()
+	if !ok {
+		s.drop(c)
 	}
-	var hdr [wire.FrameHeaderSize]byte
-	wire.PutFrameHeader(hdr[:], len(p), crc)
-	if c.writeTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+}
+
+// drop detaches members whose write failed, tears them down and lets
+// the pool rebalance. Only the shard's own goroutine writes to its
+// members, so no other delivery to them can be in flight.
+func (s *egressShard) drop(failed ...*pubConn) {
+	for _, c := range failed {
+		if s.removeMember(c) {
+			s.stats.Conns.Add(-1)
+			s.pool.fanout.ShardedConns.Add(-1)
+		}
+		c.teardown()
 	}
-	b.out = append(b.vecScratch[:0], hdr[:], p)
-	_, err := b.out.WriteTo(c.conn)
-	b.out = nil
-	wb := wire.FrameHeaderSize + len(p)
-	s.stats.Writes.Inc()
-	s.stats.Frames.Inc()
-	s.stats.Bytes.Add(uint64(wb))
-	if st := s.egress; st != nil {
-		st.Writes.Inc()
-		st.Frames.Inc()
-		st.FramesPerWrite.Observe(1)
-		st.BytesPerWrite.Observe(int64(wb))
-	}
-	cur.it.release()
-	if err != nil {
-		s.ep.dropShardConn(s, c)
-		s.ep.maybeRebalance()
-	}
+	s.ep.maybeRebalance()
 }
 
 // applyMove hands a member over to another shard, admitting the move
@@ -381,20 +379,8 @@ func (s *egressShard) deliverTargeted(cur shardItem, b *shardBatch) {
 // rejected move is left for a later rebalance pass.
 func (s *egressShard) applyMove(mv *shardMove) {
 	c, t := mv.c, mv.to
-	if t == s {
-		return
-	}
-	s.mu.Lock()
-	member := false
-	for _, m := range s.members {
-		if m == c {
-			member = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !member {
-		return // already dropped or moved
+	if t == s || !s.hasMember(c) {
+		return // nothing to move, or already dropped or moved
 	}
 	t.mu.Lock()
 	ok := t.doneSeq <= c.lastSeq
@@ -436,199 +422,4 @@ func (s *egressShard) shutdown() {
 	s.stats.Conns.Set(0)
 	s.pool.fanout.ShardedConns.Add(int64(-len(members)))
 	s.pool.fanout.ActiveShards.Add(-1)
-}
-
-// shardSpan records where one frame's encoded form lives, so a
-// just-migrated member (whose previous shard already wrote part of the
-// run) can receive a filtered subset without re-encoding.
-type shardSpan struct {
-	hdr     []byte // header bytes; for coalesced frames, header+payload
-	payload []byte // nil for coalesced frames
-	wire    int    // wire bytes of this frame
-}
-
-// shardBatch is a shard's reusable encode-once state: the same
-// fixed-capacity storage discipline as egressBatch, plus the per-frame
-// spans and the sequence bounds the delivery gate needs. Sharded
-// connections never negotiate shm, so framing is always untagged.
-type shardBatch struct {
-	writeTimeout time.Duration
-	stats        *obs.EgressShardStats
-	egress       *obs.EgressStats
-
-	items [shardMaxBatchFrames]shardItem
-	spans [shardMaxBatchFrames]shardSpan
-	n     int
-	bytes int
-	// firstSeq/lastSeq bound the run's sequences (items arrive in
-	// order).
-	firstSeq, lastSeq uint64
-
-	coalesced int
-	wireBytes int
-
-	// tmpl is the encoded run as write vectors: consecutive coalesced
-	// frames merged into single scratch spans, large frames as
-	// header+payload pairs. Each member write copies the slice headers
-	// into vecScratch (WriteTo consumes its argument).
-	tmpl       [][]byte
-	tmplStore  [2 * shardMaxBatchFrames][]byte
-	vecScratch [2 * shardMaxBatchFrames][]byte
-	hdrBuf     [shardMaxBatchFrames * wire.FrameHeaderSize]byte
-	scratch    *[]byte
-	out        net.Buffers
-
-	memberScratch []*pubConn
-}
-
-func newShardBatch(s *egressShard) *shardBatch {
-	return &shardBatch{
-		writeTimeout: s.ep.writeTimeout,
-		stats:        s.stats,
-		egress:       s.egress,
-	}
-}
-
-func (b *shardBatch) full() bool {
-	return b.n >= shardMaxBatchFrames || b.bytes >= shardMaxBatchBytes
-}
-
-func (b *shardBatch) add(it shardItem) {
-	if b.n == 0 {
-		b.firstSeq = it.seq
-	}
-	b.lastSeq = it.seq
-	b.items[b.n] = it
-	b.n++
-	b.bytes += len(it.it.data)
-}
-
-// encode renders the run once: headers and small payloads into the
-// pooled scratch (merged runs), large payloads as zero-copy vectors
-// straight from their arenas.
-func (b *shardBatch) encode() {
-	tmpl := b.tmplStore[:0]
-	hdrs := b.hdrBuf[:0]
-	var sc []byte
-	if b.scratch != nil {
-		sc = (*b.scratch)[:0]
-	}
-	runStart := -1
-	b.coalesced = 0
-	b.wireBytes = 0
-	for i := 0; i < b.n; i++ {
-		it := &b.items[i].it
-		p := it.data
-		crc := it.crc
-		if !it.crcOK {
-			crc = wire.Checksum(p)
-		}
-		w := wire.FrameHeaderSize + len(p)
-		b.wireBytes += w
-		if len(p) <= coalesceThreshold {
-			if b.scratch == nil {
-				b.scratch = egressScratchPool.Get().(*[]byte)
-				sc = (*b.scratch)[:0]
-			}
-			if runStart < 0 {
-				runStart = len(sc)
-			}
-			off := len(sc)
-			sc = wire.AppendFrameHeader(sc, len(p), crc)
-			sc = append(sc, p...)
-			b.spans[i] = shardSpan{hdr: sc[off:len(sc):len(sc)], wire: w}
-			b.coalesced++
-			continue
-		}
-		if runStart >= 0 {
-			tmpl = append(tmpl, sc[runStart:len(sc):len(sc)])
-			runStart = -1
-		}
-		h := len(hdrs)
-		hdrs = wire.AppendFrameHeader(hdrs, len(p), crc)
-		b.spans[i] = shardSpan{hdr: hdrs[h:len(hdrs):len(hdrs)], payload: p, wire: w}
-		tmpl = append(tmpl, b.spans[i].hdr, p)
-	}
-	if runStart >= 0 {
-		tmpl = append(tmpl, sc[runStart:len(sc):len(sc)])
-	}
-	b.tmpl = tmpl
-}
-
-// writeTo ships the encoded run to one member as a single vectored
-// write, honouring the delivery gate. It reports whether the
-// connection is still usable.
-func (b *shardBatch) writeTo(c *pubConn) bool {
-	frames := b.n
-	wireBytes := b.wireBytes
-	coalesced := b.coalesced
-	var vecs net.Buffers
-	if c.lastSeq < b.firstSeq {
-		vecs = append(b.vecScratch[:0], b.tmpl...)
-	} else {
-		// Just-migrated member: its previous shard already delivered a
-		// prefix of this run. Ship only the unseen suffix.
-		vecs = b.vecScratch[:0]
-		frames, wireBytes, coalesced = 0, 0, 0
-		for i := 0; i < b.n; i++ {
-			if b.items[i].seq <= c.lastSeq {
-				continue
-			}
-			sp := &b.spans[i]
-			vecs = append(vecs, sp.hdr)
-			if sp.payload != nil {
-				vecs = append(vecs, sp.payload)
-			} else {
-				coalesced++
-			}
-			frames++
-			wireBytes += sp.wire
-		}
-	}
-	c.lastSeq = b.lastSeq
-	if frames == 0 {
-		return true
-	}
-	if b.writeTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(b.writeTimeout))
-	}
-	b.out = vecs
-	_, err := b.out.WriteTo(c.conn)
-	b.out = nil
-	b.stats.Writes.Inc()
-	b.stats.Frames.Add(uint64(frames))
-	b.stats.Bytes.Add(uint64(wireBytes))
-	if st := b.egress; st != nil {
-		st.Writes.Inc()
-		st.Frames.Add(uint64(frames))
-		st.Coalesced.Add(uint64(coalesced))
-		st.FramesPerWrite.Observe(int64(frames))
-		st.BytesPerWrite.Observe(int64(wireBytes))
-	}
-	return err == nil
-}
-
-// reset releases the run's items and drops payload references so a
-// quiet shard doesn't pin the last batch's arenas.
-func (b *shardBatch) reset() {
-	for i := range b.tmplStore {
-		b.tmplStore[i] = nil
-		b.vecScratch[i] = nil
-	}
-	b.tmpl = nil
-	for i := 0; i < b.n; i++ {
-		b.items[i].it.release()
-		b.items[i] = shardItem{}
-		b.spans[i] = shardSpan{}
-	}
-	b.n = 0
-	b.bytes = 0
-}
-
-// close returns pooled storage; the batch must be empty.
-func (b *shardBatch) close() {
-	if b.scratch != nil {
-		egressScratchPool.Put(b.scratch)
-		b.scratch = nil
-	}
 }

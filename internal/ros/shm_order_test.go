@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/msgtest"
 	"rossf/internal/obs"
 	"rossf/internal/shm"
 )
@@ -17,8 +18,7 @@ import (
 func requireShm(t *testing.T) {
 	t.Helper()
 	if !shm.Available() {
-		fmt.Fprintf(os.Stderr, "NOT VERIFIED: %s: no shared-memory directory on this host\n", t.Name())
-		t.Skip("not verified: shared memory unavailable")
+		msgtest.NotVerified(t, "no shared-memory directory on this host")
 	}
 }
 

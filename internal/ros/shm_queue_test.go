@@ -2,7 +2,6 @@ package ros_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/msgtest"
 	"rossf/internal/obs"
 	"rossf/internal/ros"
 	"rossf/internal/shm"
@@ -21,8 +21,7 @@ import (
 func requireShm(t *testing.T) {
 	t.Helper()
 	if !shm.Available() {
-		fmt.Fprintf(os.Stderr, "NOT VERIFIED: %s: no shared-memory directory on this host\n", t.Name())
-		t.Skip("not verified: shared memory unavailable")
+		msgtest.NotVerified(t, "no shared-memory directory on this host")
 	}
 }
 
@@ -196,7 +195,7 @@ func TestShmQueueCreationFailureFallsBackToTCP(t *testing.T) {
 		},
 		"read-only directory": func(t *testing.T) string {
 			if os.Geteuid() == 0 {
-				t.Skip("root creates FIFOs in a read-only directory; the not-a-directory case covers the failure")
+				msgtest.NotVerified(t, "root creates FIFOs in a read-only directory; the not-a-directory case covers the failure")
 			}
 			d := t.TempDir()
 			if err := os.Chmod(d, 0o500); err != nil {

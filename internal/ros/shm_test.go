@@ -7,12 +7,14 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/msgtest"
 	"rossf/internal/obs"
 	"rossf/internal/ros"
 	"rossf/internal/shm"
@@ -48,9 +50,7 @@ func (b *procBuffer) String() string {
 // later run first).
 func newShmStore(t *testing.T, reg *obs.Registry) *shm.Store {
 	t.Helper()
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	s, err := shm.NewStore(shm.Options{Dir: t.TempDir(), Stats: reg.Shm()})
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -246,9 +246,7 @@ func TestShmHeapArenaPromotion(t *testing.T) {
 // convergence: a subscriber offering shm to a node with no store must
 // get plain TCP delivery with no API-visible difference.
 func TestShmOfferFallsBackWithoutStore(t *testing.T) {
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	m := ros.NewLocalMaster()
 	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m))
 	subNode := newNodeOpts(t, "sub", ros.WithMaster(m))
@@ -370,9 +368,7 @@ const (
 // child's mapper resolved segments, the parent recorded descriptor
 // sends and no per-message fallbacks.
 func TestShmTwoProcessZeroCopy(t *testing.T) {
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	if testing.Short() {
 		t.Skip("spawns a child process")
 	}
@@ -496,9 +492,7 @@ func TestShmTwoProcessZeroCopy(t *testing.T) {
 // sparsely (three stamped bytes per message), so the test is cheap on
 // memory despite the sizes.
 func TestShmTwoProcessLargeMessage(t *testing.T) {
-	if !shm.Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireShm(t)
 	if testing.Short() {
 		t.Skip("spawns a child process")
 	}
@@ -509,7 +503,7 @@ func TestShmTwoProcessLargeMessage(t *testing.T) {
 	)
 	dir := t.TempDir()
 	if free := shm.DirBytesFree(dir); free > 0 && free < 4*uint64(payload) {
-		t.Skipf("only %d bytes free under %s, need %d", free, dir, 4*payload)
+		msgtest.NotVerified(t, "only %d bytes free under %s, need %d", free, dir, 4*payload)
 	}
 
 	srv, err := ros.NewMasterServer("127.0.0.1:0")
@@ -687,4 +681,87 @@ func TestShmChildHelper(t *testing.T) {
 	// drain can never race a Publish into a spurious lease-lost
 	// fallback.
 	io.Copy(io.Discard, os.Stdin) //nolint:errcheck // EOF is the signal
+}
+
+// TestOversizedFrameRefusedPerLink: a message above the plain TCP frame
+// cap (64 MiB), published to one TCP and one shm subscriber, is refused
+// on the TCP link by the egress encoder — none of its bytes is written,
+// so that subscriber sees no stream damage and its link stays up — and
+// counted once in drops and drops_oversized, while the shm link, whose
+// cap admits it, delivers it as a descriptor. The 4 KiB message
+// published next reaches both.
+func TestOversizedFrameRefusedPerLink(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newShmStore(t, reg)
+	const big = ros.MaxTCPFrameBytes + 1
+	if dir := filepath.Dir(store.Prefix()); shm.DirBytesFree(dir) > 0 && shm.DirBytesFree(dir) < 2*big {
+		msgtest.NotVerified(t, "only %d bytes free under %s, need %d", shm.DirBytesFree(dir), dir, 2*big)
+	}
+	mgr := core.NewManager()
+	mgr.SetBackingStore(store)
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	subNode := newNodeOpts(t, "sub", ros.WithMaster(m), ros.WithMetrics(reg))
+
+	subscribe := func(mode ros.TransportMode) (*ros.Subscriber, chan int) {
+		got := make(chan int, 4)
+		s, err := ros.Subscribe(subNode, "big/image", func(img *testImageSF) { got <- img.Data.Len() },
+			ros.WithTransport(mode))
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		return s, got
+	}
+	tcpSub, overTCP := subscribe(ros.TransportTCP)
+	_, overShm := subscribe(ros.TransportShm)
+	pub, err := ros.Advertise[testImageSF](pubNode, "big/image")
+	if err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	eventually(t, "both subscriber connections", func() bool { return pub.NumSubscribers() == 2 })
+
+	// publish sends a message of used bytes in all and returns its data
+	// length.
+	publish := func(used int) int {
+		img, err := core.NewIn[testImageSF](mgr, used+8192)
+		if err != nil {
+			t.Fatalf("core.NewIn: %v", err)
+		}
+		skel, _ := core.UsedSize(img)
+		img.Data.MustResize(used - skel)
+		if n, _ := core.UsedSize(img); n != used {
+			t.Fatalf("message uses %d bytes, want %d", n, used)
+		}
+		if err := pub.Publish(img); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		core.Release(img)
+		return used - skel
+	}
+	recv := func(who string, ch chan int, want int) {
+		t.Helper()
+		select {
+		case n := <-ch:
+			if n != want {
+				t.Fatalf("%s subscriber got %d data bytes, want %d", who, n, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s subscriber got nothing", who)
+		}
+	}
+	large, small := publish(big), publish(4096)
+	recv("shm", overShm, large)
+	recv("shm", overShm, small)
+	recv("tcp", overTCP, small) // the first and only frame on its link
+
+	if c, r := tcpSub.CorruptFrames(), tcpSub.ResyncedBytes(); c != 0 || r != 0 {
+		t.Errorf("tcp subscriber saw %d corrupt frames and resynced %d bytes, want 0 and 0", c, r)
+	}
+	snap := reg.Snapshot()
+	if p := snap.Publishers["big/image"]; p.Drops != 1 || p.DropsOversized != 1 {
+		t.Errorf("drops = %d, drops_oversized = %d, want 1 and 1", p.Drops, p.DropsOversized)
+	}
+	if r := snap.Subscribers["big/image"].Reconnects; r != 0 {
+		t.Errorf("%d reconnects: the refusal took a link down", r)
+	}
 }

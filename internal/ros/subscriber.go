@@ -204,6 +204,21 @@ func WithoutRelay() SubOption {
 	return func(c *subConfig) { c.noRelay = true }
 }
 
+// WithFields declares the dotted field paths this subscription reads
+// (e.g. "header.stamp", "header.frame_id"). On SFM topics whose
+// publisher can serve the mask, only those fields' bytes travel the
+// wire; every other field of the delivered message reads as its typed
+// zero value, because the receiver zero-fills what did not travel — an
+// unrequested field is an empty value, never garbage. Publishers that
+// cannot serve the mask deliver full frames — the subscription always
+// sees correct data for the fields it asked for. Regular (serializing)
+// topics reject the option. Which links get a mask is decided in
+// capability.go, sparse frames are encoded by the egress batch and
+// consumed by the pump (DESIGN §3.12).
+func WithFields(paths ...string) SubOption {
+	return func(c *subConfig) { c.fields = append([]string(nil), paths...) }
+}
+
 // Subscriber is a topic subscription. Create with Subscribe, release
 // with Close.
 type Subscriber struct {
@@ -904,7 +919,7 @@ func (r *sfmRuntime[T]) decoders() decoderSet {
 			return &sfmTaggedDecoder[T]{sfmConn: sfmConn[T]{r: r, srcLittle: core.NativeLittleEndian()}, mp: mp}
 		},
 		sparse: func(reply map[string]string, sc *subConn) frameDecoder {
-			return &sparseDecoder{sink: link(reply), link: sc, fw: r.sub.node.fieldwireStats()}
+			return &sparseDecoder{sink: link(reply), link: sc, fw: r.sub.node.metrics.Fieldwire()}
 		},
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"rossf/internal/core"
+	"rossf/internal/msgtest"
 	"rossf/internal/obs"
 )
 
@@ -17,7 +18,7 @@ import (
 func skipUnlessFree(t *testing.T, dir string, need uint64) {
 	t.Helper()
 	if free := DirBytesFree(dir); free > 0 && free < need {
-		t.Skipf("only %d bytes free under %s, need %d", free, dir, need)
+		msgtest.NotVerified(t, "only %d bytes free under %s, need %d", free, dir, need)
 	}
 }
 
@@ -368,9 +369,7 @@ func TestResizeAcrossClassesProperty(t *testing.T) {
 func TestCloseDefersUnlinkUntilLeaseDrains(t *testing.T) {
 	dir := t.TempDir()
 	skipUnlessFree(t, dir, 1<<28)
-	if !Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireQueue(t)
 	s, err := NewStore(Options{Dir: dir, LeaseTimeout: 80 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

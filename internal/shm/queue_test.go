@@ -3,7 +3,6 @@ package shm
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -12,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rossf/internal/msgtest"
 )
 
 // requireQueue skips where the platform has no FIFO-backed queue,
@@ -19,8 +20,7 @@ import (
 func requireQueue(t testing.TB) {
 	t.Helper()
 	if !Available() {
-		fmt.Fprintf(os.Stderr, "NOT VERIFIED: %s: no shared-memory directory on this host\n", t.Name())
-		t.Skip("not verified: shared memory unavailable")
+		msgtest.NotVerified(t, "no shared-memory directory on this host")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/msgtest"
 	"rossf/internal/obs"
 )
 
@@ -19,7 +20,7 @@ func deadPID(t *testing.T) uint32 {
 	t.Helper()
 	cmd := exec.Command("true")
 	if err := cmd.Run(); err != nil {
-		t.Skipf("cannot spawn helper process: %v", err)
+		msgtest.NotVerified(t, "cannot spawn a helper process: %v", err)
 	}
 	return uint32(cmd.Process.Pid)
 }
@@ -43,9 +44,7 @@ func waitSlot(t *testing.T, s *Store, h uint64, refs int32, owner uint32, what s
 
 func testStore(t *testing.T, opts Options) *Store {
 	t.Helper()
-	if !Available() {
-		t.Skip("shared-memory transport unavailable on this platform")
-	}
+	requireQueue(t)
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir() // exercised layout, isolated from /dev/shm
 	}

@@ -60,10 +60,15 @@ func Checksum(payload []byte) uint32 {
 
 // Checksum2 returns the CRC-32C of the concatenation a||b without
 // joining them — used for tagged frames, where a one-byte transport tag
-// precedes a payload that must not be copied just to checksum it.
+// precedes a payload that must not be copied just to checksum it. An
+// empty a (a plain frame's prefix) costs nothing.
 func Checksum2(a, b []byte) uint32 {
 	checksumBytes.Add(uint64(len(a) + len(b)))
-	return crc32.Update(crc32.Checksum(a, castagnoli), castagnoli, b)
+	var crc uint32
+	if len(a) > 0 {
+		crc = crc32.Checksum(a, castagnoli)
+	}
+	return crc32.Update(crc, castagnoli, b)
 }
 
 // ChecksumUpdate extends a CRC-32C state with more payload bytes:

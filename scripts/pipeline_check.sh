@@ -1,8 +1,9 @@
 #!/bin/sh
 # pipeline_check.sh — structural guard for the connection pipeline
-# (DESIGN §3.15). The seven hand-copied receive loops, the three ad-hoc
-# header negotiations and the two legacy switches this replaced all
-# passed their tests; what kept them apart was nothing but convention.
+# (DESIGN §3.15). The seven hand-copied receive loops, the three
+# hand-written send-side encoders, the three ad-hoc header negotiations
+# and the two legacy switches this replaced all passed their tests; what
+# kept them apart was nothing but convention.
 # These greps fail when a twin grows back. Run via `make pipeline-check`
 # from the repository root.
 set -eu
@@ -49,6 +50,21 @@ check "a frame queue end is opened outside internal/ros/capability.go" \
 
 check "the egress batch writes to a net.Conn (descriptor frames go to the queue)" \
 	"$(grep -n 'net\.Conn' internal/ros/egress.go || true)"
+
+# The send side is one frame batch (DESIGN §3.15, "send side"): the only
+# place that writes a topic frame's header and hands vectors to the
+# kernel. service.go's writeStatusFrame is the one other frame writer: a
+# status byte ahead of the frame makes its replies a different shape.
+status=$(awk '/^func writeStatusFrame\(/ {f=1} f {print "internal/ros/service.go:" NR ":"} f && /^}/ {f=0}' internal/ros/service.go)
+status=${status:-no writeStatusFrame in internal/ros/service.go}
+check "a frame header is written outside the egress batch (internal/ros/egress.go)" \
+	"$(grep -rnE 'wire\.(AppendFrameHeader|AppendTaggedFrameHeader|PutFrameHeader)\(' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/egress\.go:' | grep -vF "$status" || true)"
+
+check "topic frames are written outside the egress batch (internal/ros/egress.go)" \
+	"$(grep -rn '\.WriteTo(' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/egress\.go:' | grep -vF "$status" || true)"
+
+check "a second send-side batch type is back" \
+	"$(grep -rnE 'type (sparseBatch|shardBatch|connBatch)\b' --include='*.go' . || true)"
 
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"

@@ -7,10 +7,10 @@
 #   1. `rostopic stats` reports live per-topic instrument data (rate,
 #      bandwidth, drops, latency quantiles), and
 #   2. the node's /metrics endpoint serves a JSON snapshot with the
-#      expected schema (node name, per-topic publisher instruments,
-#      core life-cycle gauges, graph-plane resilience instruments, and
-#      the sharded fan-out plane: per-shard egress counters plus the
-#      relay-tier gauges).
+#      expected schema (node name, per-topic publisher instruments with
+#      the per-reason drops_oversized, core life-cycle gauges, graph-plane
+#      resilience instruments, and the sharded fan-out plane: per-shard
+#      egress counters plus the relay-tier gauges).
 #
 # Run via `make stats-smoke`. Requires curl; uses jq for JSON schema
 # validation when available, plain key grep otherwise.
@@ -77,6 +77,8 @@ if command -v jq >/dev/null 2>&1; then
     echo "$JSON" | jq -e '
         .node == "rospub"
         and (.obs.publishers["camera/image"].messages > 0)
+        and (.obs.publishers["camera/image"] | has("drops") and has("drops_oversized"))
+        and (.obs.publishers["camera/image"].drops_oversized == 0)
         and (.obs.core | has("live") and has("max_live")
              and has("state_published") and has("bytes_live"))
         and (.obs | has("subscribers") and has("services"))
@@ -116,7 +118,7 @@ if command -v jq >/dev/null 2>&1; then
         exit 1
     }
 else
-    for key in '"node"' '"obs"' '"publishers"' '"core"' '"live"' '"max_live"' \
+    for key in '"node"' '"obs"' '"publishers"' '"drops_oversized"' '"core"' '"live"' '"max_live"' \
         '"fanout"' '"active_shards"' '"shards"' '"relay"' '"frames_in"' \
         '"failovers"' '"failed_candidates"' '"epoch"' '"replication_lag_ms"' \
         '"fallbacks_by_reason"' '"heap_arena"' '"promotions"' \
