@@ -129,7 +129,7 @@ func SharedHandleOf[T any](m *T, bs BackingStore) (handle uint64, used int, ok b
 // native handle returns promoted=false.
 //
 // The caller holds f for the duration of its use of the returned handle
-// (the transport's publish-time reference), which pins the promotion
+// (the reference of the queued item being sent), which pins the promotion
 // slot through the record's cached baseline reference. Growing a message
 // concurrently with publishing it is an application-level race, exactly
 // as on the inline path.

@@ -130,8 +130,13 @@ func refuse(conn net.Conn, msg string) error {
 // syscall, and a peer reset can never land between them. The payload is
 // written directly from its backing storage (an arena, for SFM
 // messages) — the checksum costs one pass over the bytes but no copy,
-// preserving the serialization-free property.
+// preserving the serialization-free property. A payload above
+// maxFrameSize is refused before any byte of it is written: the
+// receiver would skip it as stream damage and never answer it.
 func writeFrame(conn net.Conn, payload []byte) error {
+	if len(payload) > maxFrameSize {
+		return fmt.Errorf("ros: frame of %d bytes exceeds the frame cap (%d bytes)", len(payload), maxFrameSize)
+	}
 	return wire.WriteFrame(conn, payload, wire.Checksum(payload))
 }
 

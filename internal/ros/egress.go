@@ -199,9 +199,7 @@ func (b *egressBatch) full() bool {
 	return b.n >= len(b.items) || b.bytes >= b.maxBytes
 }
 
-// add accepts one queued item into the batch. The write attempt is now
-// imminent: a descriptor item's peer reference is the peer's from here
-// on (see pubConn.discard), and the batch only ever releases arenas.
+// add accepts one queued item into the batch.
 func (b *egressBatch) add(it frameItem) {
 	b.items[b.n] = it
 	b.n++

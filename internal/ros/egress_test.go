@@ -217,11 +217,13 @@ func TestFrameItemSize(t *testing.T) {
 	}
 }
 
-// TestDiscardReturnsDescriptorReference: a descriptor item that leaves
-// the queue unsent — pushed out by a newer one, or still queued at
-// teardown — gives its peer reference back at once. The lease is long,
-// so the reaper cannot be what empties the store.
-func TestDiscardReturnsDescriptorReference(t *testing.T) {
+// TestShmShareMintedAtWrite: an SFM publish to shm links mints no peer
+// reference and hashes nothing — the write loop turns the item into a
+// descriptor when it takes it — so an item that leaves the queue unsent,
+// pushed out by a newer one or still queued at teardown, owns only its
+// arena. The lease is long, so the reaper cannot be what empties the
+// store.
+func TestShmShareMintedAtWrite(t *testing.T) {
 	requireShm(t)
 	t.Setenv("ROSSF_SHM_DIR", t.TempDir())
 	store, err := shm.NewStore(shm.Options{Dir: t.TempDir(), LeaseTimeout: time.Minute})
@@ -231,54 +233,66 @@ func TestDiscardReturnsDescriptorReference(t *testing.T) {
 	defer store.Close()
 	mgr := core.NewManager()
 	mgr.SetBackingStore(store)
-	peer, gen, err := store.AcquirePeer(1)
-	if err != nil {
-		t.Fatal(err)
+	ep := metricEndpoint(nil)
+	for i := 0; i < 3; i++ {
+		peer, gen, err := store.AcquirePeer(uint32(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := shm.CreateQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+		wr, err := shm.OpenQueue(rd.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, far := net.Pipe()
+		defer far.Close()
+		ep.att.conns = append(ep.att.conns, &pubConn{
+			conn: conn,
+			stop: make(chan struct{}),
+			ch:   make(chan frameItem, 2), // no write loop: the queue only fills
+			shm:  &shmSender{store: store, peer: peer, gen: gen, queue: wr},
+		})
 	}
-	rd, err := shm.CreateQueue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	wr, err := shm.OpenQueue(rd.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, far := net.Pipe()
-	defer far.Close()
-	pc := &pubConn{
-		conn: conn,
-		stop: make(chan struct{}),
-		ch:   make(chan frameItem, 2), // no write loop: the queue only fills
-		shm:  &shmSender{store: store, peer: peer, gen: gen, queue: wr},
-	}
-	for i := 0; i < 3; i++ { // the third pushes the first out
+	var first uint64
+	for i := 0; i < 3; i++ { // the third pushes the first out of every queue
 		img, err := core.NewIn[shardImgSF](mgr, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hold, err := core.NewRef(img)
-		if err != nil {
+		if i == 0 {
+			h, _, ok := core.SharedHandleOf(img, store)
+			if !ok {
+				t.Fatal("store-backed message has no shared slot")
+			}
+			first = h
+		}
+		shares, hashed := store.Shares(), wire.ChecksumBytes()
+		if err := publishSFM(ep, img); err != nil {
 			t.Fatal(err)
 		}
-		h, _, _, ok := hold.PromoteShared(store)
-		if !ok {
-			t.Fatal("store-backed message has no shared slot")
+		if n := store.Shares() - shares; n != 0 {
+			t.Fatalf("publish %d minted %d peer references before any write", i, n)
 		}
-		d, err := store.Share(h, peer, gen, 64)
-		if err != nil {
-			t.Fatal(err)
+		if n := wire.ChecksumBytes() - hashed; n != 0 {
+			t.Fatalf("publish %d hashed %d bytes for links that send descriptors", i, n)
 		}
-		pc.enqueue(frameItem{desc: d, tag: tagDescriptor})
-		hold.Release()    //nolint:errcheck // the peer reference is what is under test
-		core.Release(img) //nolint:errcheck
+		core.Release(img) //nolint:errcheck // the queued items hold the arena now
+	}
+	if refs, owner := store.SlotRefs(first); refs != 0 || owner != 0 {
+		t.Errorf("pushed-out message still referenced: refs=%d owner=%#x", refs, owner)
 	}
 	if store.Idle() {
-		t.Fatal("two descriptors are queued, yet no slot is referenced")
+		t.Fatal("two messages are queued, yet no slot is referenced")
 	}
-	pc.teardown()
+	for _, pc := range ep.att.conns {
+		pc.teardown()
+	}
 	if !store.Idle() {
-		t.Error("unsent descriptors kept their peer references past teardown")
+		t.Error("items queued at teardown kept their slots")
 	}
 }
 

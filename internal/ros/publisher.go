@@ -283,7 +283,8 @@ type inprocTarget interface {
 // frameItem is one outbound queue entry. data is what goes on the wire:
 // a plain serialized frame, or the view of an SFM arena resolved at
 // publish and pinned by ref; a tagDescriptor item carries desc instead,
-// the shared-memory descriptor the write loop encodes. tag selects the
+// the shared-memory descriptor an shm link's write loop makes of an
+// arena item just before the batch (pubConn.ready). tag selects the
 // transport framing on tagged connections; zero means untagged/inline.
 // The struct is kept at 72 bytes: one word more costs tcp_4k_stream 1%.
 type frameItem struct {
@@ -294,7 +295,7 @@ type frameItem struct {
 	// — over the payload on plain connections, over tag||payload on
 	// tagged ones — so N-subscriber fan-out hashes the arena once
 	// instead of once per connection. crcOK false (latched items, fan-out
-	// 1) makes the write loop compute it.
+	// 1, arena items bound for shm links) makes the write loop compute it.
 	crc   uint32
 	tag   byte
 	crcOK bool
@@ -316,7 +317,7 @@ func (it frameItem) dup() (frameItem, bool) {
 }
 
 // release drops the item's arena reference, after its send or instead
-// of it. An item leaving a pubConn's queue unsent goes through discard.
+// of it.
 func (it frameItem) release() {
 	it.ref.Release() //nolint:errcheck // items without an arena hold the zero Ref
 }
@@ -555,21 +556,15 @@ func (ep *pubEndpoint) fanout(frame []byte, msg any, hold core.Ref, l *latchedMs
 	// goroutine.
 	stamp := len(att.conns) > 1 || crcs.plainOK
 	for _, c := range att.conns {
-		if c.shm != nil && msg != nil {
-			// Zero-copy path: the subscriber gets a 24-byte descriptor into
-			// the shared slot the message lives in — natively, or via a
-			// copy-once promotion for heap-backed arenas. With no shared
-			// slot to point at the bytes travel inline, below.
-			if it, ok := ep.shmItemFor(c, hold, len(frame)); ok {
-				c.enqueue(it)
-				continue
-			}
-		}
 		it, ok := base.dup()
 		if !ok {
 			continue
 		}
 		switch {
+		case c.shm != nil && msg != nil:
+			// An arena item on an shm link normally leaves as a descriptor
+			// minted by the link's write loop (pubConn.ready): hashing its
+			// bytes here would be wasted work.
 		case stamp && c.shm != nil:
 			// Tagged connections (raw SFM publishers can negotiate shm
 			// too) frame message bytes as tagInline||bytes.
@@ -849,14 +844,14 @@ func (pc *pubConn) enqueue(it frameItem) {
 	for {
 		select {
 		case <-pc.stop:
-			pc.discard(it)
+			it.release()
 			return
 		case pc.ch <- it:
 			select {
 			case <-pc.stop:
 				select {
 				case old := <-pc.ch:
-					pc.discard(old)
+					old.release()
 				default:
 				}
 			default:
@@ -866,26 +861,13 @@ func (pc *pubConn) enqueue(it frameItem) {
 		}
 		select {
 		case old := <-pc.ch:
-			pc.discard(old)
+			old.release()
 			if pc.stats != nil {
 				pc.stats.Drops.Inc()
 			}
 		default:
 		}
 	}
-}
-
-// discard releases an item that leaves the queue unsent. The peer
-// reference of a descriptor item was minted at publish for a descriptor
-// that will now never reach the subscriber, so it is returned — here
-// and nowhere else: once the write loop has taken an item, bytes may
-// reach the subscriber, and the reference belongs to the peer (or, if
-// the peer died, to its lease reaper), never to the publisher.
-func (pc *pubConn) discard(it frameItem) {
-	if it.tag == tagDescriptor {
-		pc.shm.store.Unshare(it.desc.Handle(), pc.shm.peer, pc.shm.gen)
-	}
-	it.release()
 }
 
 // writeLoop feeds the outbound queue to the link's egress batch
@@ -900,11 +882,11 @@ func (pc *pubConn) writeLoop() {
 		case <-pc.stop:
 			return
 		case it := <-pc.ch:
-			b.add(it)
+			b.add(pc.ready(it))
 			for !b.full() {
 				select {
 				case more := <-pc.ch:
-					b.add(more)
+					b.add(pc.ready(more))
 					continue
 				default:
 				}
@@ -929,7 +911,7 @@ func (pc *pubConn) teardown() {
 		for {
 			select {
 			case it := <-pc.ch:
-				pc.discard(it)
+				it.release()
 			default:
 				break drain
 			}

@@ -277,6 +277,12 @@ func (c *serviceConn) decode(rx *pump, n int, crc uint32) (bool, error) {
 		herr = errors.New("corrupt request frame")
 	} else {
 		reply, herr = ep.handle(frame, c.srcLittle)
+		if herr == nil && len(reply.data) > maxFrameSize {
+			// The caller's pump would skip the frame as stream damage and
+			// wait for a reply that never comes.
+			herr = fmt.Errorf("reply of %d bytes exceeds the frame cap (%d bytes)", len(reply.data), maxFrameSize)
+			reply.release()
+		}
 	}
 	if st := ep.stats; st != nil {
 		st.Calls.Inc()

@@ -3,7 +3,9 @@ package ros_test
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rossf/internal/core"
 	"rossf/internal/ros"
@@ -286,4 +288,109 @@ func TestServiceOverRemoteMaster(t *testing.T) {
 	if !errors.Is(err, ros.ErrServiceNotFound) {
 		t.Errorf("post-close err = %v", err)
 	}
+}
+
+// TestServiceFrameCap: a plain TCP link carries frames of at most
+// ros.MaxTCPFrameBytes, and a receiver skips a larger one as stream
+// damage. So neither side may write one: a reply above the cap comes
+// back as a handler error, a request above it fails before any byte is
+// written, and the connection serves the next call either way.
+func TestServiceFrameCap(t *testing.T) {
+	const big = ros.MaxTCPFrameBytes
+	m := ros.NewLocalMaster()
+	serverNode := newNode(t, "server", m)
+	clientNode := newNode(t, "client", m)
+
+	var calls atomic.Int32
+	blob, err := ros.AdvertiseService(serverNode, "blob/make", func(req *blobRequest) (*blobResponse, error) {
+		resp, err := core.NewWithCapacity[blobResponse](int(req.N) + 4096)
+		if err != nil {
+			return nil, err
+		}
+		return resp, resp.Data.Resize(int(req.N))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer blob.Close()
+	sink, err := ros.AdvertiseService(serverNode, "blob/take", func(req *blobResponse) (*blobRequest, error) {
+		calls.Add(1)
+		resp, err := core.NewWithCapacity[blobRequest](4096)
+		if err != nil {
+			return nil, err
+		}
+		resp.N = uint32(req.Data.Len())
+		return resp, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+
+	t.Run("reply", func(t *testing.T) {
+		c, err := ros.NewServiceClient[blobRequest, blobResponse](clientNode, "blob/make")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetCallTimeout(10 * time.Second) // an over-cap reply used to hang the call
+		req, err := core.NewWithCapacity[blobRequest](4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer core.Release(req)
+		req.N = big
+		var se *ros.ServiceError
+		if _, err := c.Call(req); !errors.As(err, &se) || !strings.Contains(se.Msg, "exceeds the frame cap") {
+			t.Fatalf("over-cap reply: err = %v, want a ServiceError naming the frame cap", err)
+		}
+		req.N = 100
+		resp, err := c.Call(req)
+		if err != nil {
+			t.Fatalf("call after the refused reply: %v", err)
+		}
+		if n := resp.Data.Len(); n != 100 {
+			t.Errorf("follow-up reply has %d bytes, want 100", n)
+		}
+		core.Release(resp)
+	})
+
+	t.Run("request", func(t *testing.T) {
+		c, err := ros.NewServiceClient[blobResponse, blobRequest](clientNode, "blob/take")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetCallTimeout(10 * time.Second)
+		req, err := core.NewWithCapacity[blobResponse](big + 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer core.Release(req)
+		if err := req.Data.Resize(big); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(req); err == nil || !strings.Contains(err.Error(), "exceeds the frame cap") {
+			t.Fatalf("over-cap request: err = %v, want a refusal naming the frame cap", err)
+		}
+		small, err := core.NewWithCapacity[blobResponse](4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer core.Release(small)
+		if err := small.Data.Resize(100); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Call(small)
+		if err != nil {
+			t.Fatalf("call after the refused request: %v", err)
+		}
+		if resp.N != 100 {
+			t.Errorf("server saw %d request bytes, want 100", resp.N)
+		}
+		core.Release(resp)
+		if n := calls.Load(); n != 1 {
+			t.Errorf("handler ran %d times, want 1: the refused request reached the server", n)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package ros
 import (
 	"os"
 
-	"rossf/internal/core"
 	"rossf/internal/obs"
 	"rossf/internal/shm"
 )
@@ -41,46 +40,52 @@ func (sh *shmSender) close() {
 func (n *Node) shmStats() *obs.ShmStats { return n.metrics.Shm() }
 
 // shmOutcome classifies a failed attempt to ship a message as a
-// descriptor, so the publish path can count (and warn about) the right
+// descriptor, so the write loop can count (and warn about) the right
 // fallback reason instead of folding every miss into one number.
 type shmOutcome int
 
 const (
 	// shmNoSlot: the arena is not in this connection's store and
-	// publish-time promotion could not place a copy either (message
-	// above the transport cap, or the store declined).
+	// promotion could not place a copy either (message above the
+	// transport cap, or the store declined).
 	shmNoSlot shmOutcome = iota
 	// shmLeaseLost: the slot was ready but the subscriber's lease raced
 	// away under Share — a transient, not a classified reason.
 	shmLeaseLost
 )
 
-// shmItemFor builds a descriptor queue item on c's shm grant for the
-// used-byte message hold refers to. A message whose arena already lives
-// in this connection's store ships as-is; a heap-backed one is PROMOTED
-// — copied once into a shared slot cached on the message record — so a
-// republisher converges to zero fallbacks instead of shipping an inline
-// copy forever. ok=false means the message must go inline on this
-// connection; the fallback is counted by reason (and eventually warned
-// about) — silent degradation off the descriptor path is a bug signal.
-func (ep *pubEndpoint) shmItemFor(c *pubConn, hold core.Ref, used int) (it frameItem, ok bool) {
-	h, _, promoted, ok := hold.PromoteShared(c.shm.store)
+// ready is the write loop's last step before the batch: on an shm link
+// an arena item becomes a descriptor. The peer's reference is minted
+// here, after the queue, so an item dropped unsent owns only its arena.
+// A heap-backed message is PROMOTED — copied once into a shared slot
+// cached on its record — so a republisher converges to zero fallbacks.
+// Share needs the message held, so the item's reference goes only once
+// the descriptor exists. When either step fails the item goes inline
+// unchanged and the fallback is counted by reason (and eventually
+// warned about): silent degradation is a bug signal.
+func (pc *pubConn) ready(it frameItem) frameItem {
+	if pc.shm == nil || it.ref.IsZero() {
+		return it
+	}
+	used := len(it.data)
+	h, _, promoted, ok := it.ref.PromoteShared(pc.shm.store)
 	if !ok {
-		ep.noteShmFallback(used, shmNoSlot)
-		return frameItem{}, false
+		pc.ep.noteShmFallback(used, shmNoSlot)
+		return it
 	}
 	if promoted {
-		if st := ep.node.shmStats(); st != nil {
+		if st := pc.ep.node.shmStats(); st != nil {
 			st.Promotions.Inc()
 		}
 	}
-	d, err := c.shm.store.Share(h, c.shm.peer, c.shm.gen, used)
+	d, err := pc.shm.store.Share(h, pc.shm.peer, pc.shm.gen, used)
 	if err != nil {
-		ep.noteShmFallback(used, shmLeaseLost)
-		return frameItem{}, false
+		pc.ep.noteShmFallback(used, shmLeaseLost)
+		return it
 	}
+	it.release()
 	// The descriptor travels by value and is encoded (and hashed, 25
 	// bytes) straight into the write loop's scratch: per connection there
 	// is nothing to share across the fan-out, and nothing to allocate.
-	return frameItem{desc: d, tag: tagDescriptor}, true
+	return frameItem{desc: d, tag: tagDescriptor}
 }

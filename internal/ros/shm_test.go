@@ -242,6 +242,212 @@ func TestShmHeapArenaPromotion(t *testing.T) {
 	}
 }
 
+// TestShmPromotionOncePerMessage: heap-arena messages fanned out to two
+// shm subscribers. Each link's write loop promotes the message it takes,
+// so the two loops race on the same record; the first to get there
+// copies it into a shared slot and the other ships from that copy — one
+// promotion per message, however the loops interleave (run under -race).
+func TestShmPromotionOncePerMessage(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newShmStore(t, reg)
+
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	got := make(chan uint32, 32)
+	for i := 0; i < 2; i++ {
+		subNode := newNodeOpts(t, fmt.Sprintf("sub%d", i), ros.WithMaster(m), ros.WithMetrics(reg))
+		if _, err := ros.Subscribe(subNode, "promo/img", func(img *testImageSF) {
+			got <- img.Height
+		}, ros.WithTransport(ros.TransportShm)); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+	}
+	pub, err := ros.Advertise[testImageSF](pubNode, "promo/img")
+	if err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	eventually(t, "two subscriber connections", func() bool { return pub.NumSubscribers() == 2 })
+
+	const msgs = 8
+	for i := 0; i < msgs; i++ {
+		img, err := core.NewWithCapacity[testImageSF](1 << 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Height = uint32(i)
+		img.Data.MustResize(1024)
+		if err := pub.Publish(img); err != nil {
+			t.Fatalf("Publish %d: %v", i, err)
+		}
+		if _, err := core.Release(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*msgs; i++ {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d deliveries arrived", i, 2*msgs)
+		}
+	}
+
+	snap := reg.Snapshot().Shm
+	if snap.Promotions != msgs {
+		t.Errorf("Promotions = %d, want %d (one per message, not one per link)", snap.Promotions, msgs)
+	}
+	if snap.DescriptorSends != 2*msgs {
+		t.Errorf("DescriptorSends = %d, want %d", snap.DescriptorSends, 2*msgs)
+	}
+	if snap.Fallbacks != 0 {
+		t.Errorf("Fallbacks = %d, want 0", snap.Fallbacks)
+	}
+}
+
+// TestShmLatchedToLateJoiner: the latched message a late shm subscriber
+// is handed goes through its link's write loop like any other, so it
+// travels as a descriptor, not as an inline copy.
+func TestShmLatchedToLateJoiner(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newShmStore(t, reg)
+	mgr := core.NewManager()
+	mgr.SetBackingStore(store)
+
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	subNode := newNodeOpts(t, "sub", ros.WithMaster(m), ros.WithMetrics(reg))
+	pub, err := ros.Advertise[testImageSF](pubNode, "latched/map", ros.WithLatch())
+	if err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	img, err := core.NewIn[testImageSF](mgr, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Height = 42
+	if err := pub.Publish(img); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	core.Release(img) //nolint:errcheck // the latch holds its own reference
+
+	got := make(chan uint32, 1)
+	if _, err := ros.Subscribe(subNode, "latched/map", func(img *testImageSF) { got <- img.Height },
+		ros.WithTransport(ros.TransportShm)); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	select {
+	case h := <-got:
+		if h != 42 {
+			t.Fatalf("latched delivery has height %d, want 42", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the late joiner never got the latched message")
+	}
+	if snap := reg.Snapshot().Shm; snap.DescriptorSends != 1 || snap.Fallbacks != 0 {
+		t.Errorf("descriptor_sends = %d, fallbacks = %d; want the latched message sent as 1 descriptor",
+			snap.DescriptorSends, snap.Fallbacks)
+	}
+}
+
+// TestShmPeerTableFull drives a publisher with shm.MaxPeers + 1
+// same-host shm subscribers. The last one finds the peer table full: it
+// gets TCP, is counted under peer_table_full, and keeps receiving. Once
+// one of the first MaxPeers leaves and its lease is reaped, a fresh
+// subscriber gets shm again.
+func TestShmPeerTableFull(t *testing.T) {
+	requireShm(t)
+	reg := obs.NewRegistry()
+	store, err := shm.NewStore(shm.Options{Dir: t.TempDir(), Stats: reg.Shm(), LeaseTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	t.Cleanup(func() {
+		waitIdle(t, store)
+		store.Close()
+	})
+	mgr := core.NewManager()
+	mgr.SetBackingStore(store)
+
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	pub, err := ros.Advertise[testImageSF](pubNode, "full/img")
+	if err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+
+	var subs []*ros.Subscriber
+	var got []chan uint32
+	live := map[int]bool{}
+	subscribe := func() {
+		t.Helper()
+		i := len(subs)
+		ch := make(chan uint32, 4)
+		n := newNodeOpts(t, fmt.Sprintf("sub%d", i), ros.WithMaster(m))
+		s, err := ros.Subscribe(n, "full/img", func(img *testImageSF) { ch <- img.Height },
+			ros.WithTransport(ros.TransportShm))
+		if err != nil {
+			t.Fatalf("Subscribe %d: %v", i, err)
+		}
+		subs, got, live[i] = append(subs, s), append(got, ch), true
+		eventually(t, fmt.Sprintf("subscriber %d to connect", i), func() bool { return pub.NumSubscribers() == len(live) })
+	}
+	// publish sends one message and waits for every live subscriber to
+	// receive it; it returns how many links it went to as a descriptor.
+	publish := func(h uint32) uint64 {
+		t.Helper()
+		before := reg.Snapshot().Shm.DescriptorSends
+		img, err := core.NewIn[testImageSF](mgr, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Height = h
+		if err := pub.Publish(img); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		core.Release(img) //nolint:errcheck
+		for i := range live {
+			select {
+			case v := <-got[i]:
+				if v != h {
+					t.Fatalf("subscriber %d got message %d, want %d", i, v, h)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("subscriber %d never received message %d", i, h)
+			}
+		}
+		return reg.Snapshot().Shm.DescriptorSends - before
+	}
+
+	for i := 0; i < shm.MaxPeers; i++ {
+		subscribe()
+	}
+	if n := reg.Snapshot().Shm.FallbackReasons.PeerTableFull; n != 0 {
+		t.Fatalf("peer_table_full = %d with %d subscribers, want 0", n, shm.MaxPeers)
+	}
+	subscribe() // one past the table
+	if n := reg.Snapshot().Shm.FallbackReasons.PeerTableFull; n != 1 {
+		t.Fatalf("peer_table_full = %d, want 1 for subscriber %d", n, shm.MaxPeers)
+	}
+	for h := uint32(1); h <= 3; h++ {
+		if d := publish(h); d != shm.MaxPeers {
+			t.Fatalf("message %d went to %d links as a descriptor, want %d", h, d, shm.MaxPeers)
+		}
+	}
+
+	reaped := reg.Snapshot().Shm.LeasesReaped
+	subs[0].Close()
+	delete(live, 0)
+	eventually(t, "the departed subscriber's lease to be reaped", func() bool {
+		return pub.NumSubscribers() == len(live) && reg.Snapshot().Shm.LeasesReaped > reaped
+	})
+	subscribe() // takes the freed lease
+	if n := reg.Snapshot().Shm.FallbackReasons.PeerTableFull; n != 1 {
+		t.Fatalf("peer_table_full = %d after a lease was freed, want still 1", n)
+	}
+	if d := publish(4); d != shm.MaxPeers {
+		t.Fatalf("after the rejoin a message went to %d links as a descriptor, want %d", d, shm.MaxPeers)
+	}
+}
+
 // TestShmOfferFallsBackWithoutStore checks new-subscriber/old-publisher
 // convergence: a subscriber offering shm to a node with no store must
 // get plain TCP delivery with no API-visible difference.

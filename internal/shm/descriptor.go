@@ -18,10 +18,6 @@ type Descriptor struct {
 	Length uint32 // payload bytes used within the slot
 }
 
-// Handle returns the store's handle of the slot d addresses, which is
-// what Unshare takes to give an unsent descriptor's reference back.
-func (d Descriptor) Handle() uint64 { return handleFor(int(d.SegID), int(d.Slot)) }
-
 // DescriptorSize is the encoded size of a Descriptor.
 const DescriptorSize = 24
 

@@ -37,7 +37,7 @@ import (
 // DRAINING peer already lost its connection and keeps heartbeating
 // until drained, so age alone suffices there. The lease generation
 // closes the remaining ABA: every lease of a peer id gets a fresh gen,
-// Share/Unshare and the mapper's heartbeat/Resolve/release all validate
+// Share and the mapper's heartbeat/Resolve/release all validate
 // it, so a reaped-and-reused peer id rejects stale writers instead of
 // corrupting the new lease's reference counts.
 type peerSlot struct {
@@ -414,21 +414,6 @@ func (s *Store) Share(handle uint64, peer int, gen uint32, length int) (Descript
 	s.shareSq++
 	s.stats.DescriptorSends.Inc()
 	return Descriptor{SegID: seg.id, Gen: st.gen.Load(), Slot: uint32(slot), Length: uint32(length)}, nil
-}
-
-// Unshare returns peer's reference on handle's slot without the
-// descriptor ever reaching the subscriber — the undo path for frames
-// dropped from a full send queue. gen must be the lease generation the
-// reference was minted under: if the lease has been reaped since, the
-// reaper already returned the reference (and the peer id may belong to
-// a new subscriber), so the release is skipped.
-func (s *Store) Unshare(handle uint64, peer int, gen uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seg, slot, ok := s.lookup(handle); ok && peer >= 0 && peer < MaxPeers &&
-		peerAt(s.ctl, peer).gen.Load() == gen {
-		releaseShared(seg.slot(slot), peer)
-	}
 }
 
 // AcquirePeer leases a peer id to a subscriber with the given pid and

@@ -139,15 +139,6 @@ func WriteFrame(w io.Writer, payload []byte, crc uint32) error {
 	return err
 }
 
-// WriteTaggedFrame writes one tagged checked frame (header and tag,
-// then the body) as a single vectored write; crc must cover tag||body.
-func WriteTaggedFrame(w io.Writer, tag byte, body []byte, crc uint32) error {
-	var hdr [FrameHeaderSize + 1]byte
-	bufs := net.Buffers{AppendTaggedFrameHeader(hdr[:0], tag, len(body), crc), body}
-	_, err := bufs.WriteTo(w)
-	return err
-}
-
 // FrameScanner reads checked frame headers from a stream, sliding past
 // damage to find the next valid header. It buffers only the header
 // window: after Next returns, the payload is the next payloadLen bytes

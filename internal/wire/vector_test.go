@@ -94,31 +94,6 @@ func TestAppendTaggedFrameHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteTaggedFrameMatchesLegacyEncoding pins wire compatibility:
-// the vectored tagged writer produces byte-identical frames to the
-// original header-then-payload double write.
-func TestWriteTaggedFrameMatchesLegacyEncoding(t *testing.T) {
-	body := bytes.Repeat([]byte{0x5A}, 300)
-	const tag = 0x01
-	crc := Checksum2([]byte{tag}, body)
-
-	var got bytes.Buffer
-	if err := WriteTaggedFrame(&got, tag, body, crc); err != nil {
-		t.Fatal(err)
-	}
-
-	var want bytes.Buffer
-	var hdr [FrameHeaderSize + 1]byte
-	hdr[FrameHeaderSize] = tag
-	PutFrameHeader(hdr[:FrameHeaderSize], len(body)+1, crc)
-	want.Write(hdr[:])
-	want.Write(body)
-
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("vectored tagged frame differs from legacy encoding")
-	}
-}
-
 // TestChecksumBytesAccounting: the hashes-once test hook must count
 // exactly the bytes fed to Checksum and Checksum2.
 func TestChecksumBytesAccounting(t *testing.T) {

@@ -53,8 +53,11 @@ check "the egress batch writes to a net.Conn (descriptor frames go to the queue)
 
 # The send side is one frame batch (DESIGN §3.15, "send side"): the only
 # place that writes a topic frame's header and hands vectors to the
-# kernel. service.go's writeStatusFrame is the one other frame writer: a
-# status byte ahead of the frame makes its replies a different shape.
+# kernel. service.go's writeStatusFrame is the one other frame writer,
+# and it stays apart because a reply's status byte sits OUTSIDE the frame
+# header — before it, uncovered by its length or checksum — so no
+# framing of the batch, whose prefixes all sit inside the frame, can
+# produce it.
 status=$(awk '/^func writeStatusFrame\(/ {f=1} f {print "internal/ros/service.go:" NR ":"} f && /^}/ {f=0}' internal/ros/service.go)
 status=${status:-no writeStatusFrame in internal/ros/service.go}
 check "a frame header is written outside the egress batch (internal/ros/egress.go)" \
@@ -65,6 +68,16 @@ check "topic frames are written outside the egress batch (internal/ros/egress.go
 
 check "a second send-side batch type is back" \
 	"$(grep -rnE 'type (sparseBatch|shardBatch|connBatch)\b' --include='*.go' . || true)"
+
+# An shm link's peer reference is minted in one place, the write loop's
+# last step before the batch (internal/ros/shm.go), once the item has
+# left the queue: an item that never leaves it owns only its arena, so
+# there is nothing to give back.
+check "a peer reference is minted outside internal/ros/shm.go" \
+	"$(grep -rn '\.Share(' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/shm\.go:' || true)"
+
+check "a share-undo path is back" \
+	"$(grep -rn 'Unshare' --include='*.go' . || true)"
 
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
