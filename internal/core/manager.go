@@ -65,6 +65,7 @@ type record struct {
 	used  uint32  // bytes of the whole message currently in use
 	state State   // stateLoose between GetBuffer and Adopt/NewIn
 	mgr   *Manager
+	next  *record      // free-list link while pooled
 	typ   reflect.Type // skeleton type, nil for untyped adoption
 	// Storage owner. Heap storage (none set) recycles with the record;
 	// store-backed storage returns to bs under the shared handle, and
@@ -248,6 +249,8 @@ type Stats struct {
 	StatePublished int64  // live messages currently in StatePublished
 	MaxLive        int64  // high-water mark of Live
 	MaxBytesLive   int64  // high-water mark of BytesLive
+	Fresh          uint64 // records made because their free list was empty
+	BytesPooled    int64  // heap storage held on the free lists
 }
 
 // Manager owns allocation pools and statistics for serialization-free
@@ -327,6 +330,8 @@ func (m *Manager) Stats() Stats {
 		StatePublished: m.statePublished.Load(),
 		MaxLive:        m.maxLive.Load(),
 		MaxBytesLive:   m.maxBytesLive.Load(),
+		Fresh:          m.pool.fresh.Load(),
+		BytesPooled:    m.pool.bytesPooled(),
 	}
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/bits"
+	"runtime/metrics"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -24,10 +26,128 @@ const (
 // storage of an exact class size goes back to its class with the storage
 // still attached; a record whose storage had another owner (a backing
 // store, external memory, an over-max direct allocation) goes back bare.
-// Both are sync.Pools: what is not reused is the garbage collector's.
+//
+// The lists are the manager's own, not sync.Pools: the garbage collector
+// empties a sync.Pool, and refilling one costs its per-P storage after
+// every collection and, a collection later, a fresh MiB-sized arena for
+// the next publish. A list is trimmed only by the manager, and only by
+// what the working set left unused (see tickLocked).
 type bufPool struct {
-	classes [numClasses]sync.Pool // *record with class-sized heap storage
-	bare    sync.Pool             // *record without storage
+	mu      sync.Mutex
+	classes [numClasses]freeList // records with class-sized heap storage
+	bare    freeList             // records without storage
+	gets    int                  // Gets since the last look at the GC cycle count
+	trimmed uint64               // GC cycle count at the last trim
+	cycles  [1]metrics.Sample    // held here so that reading it allocates nothing
+	fresh   atomic.Uint64        // records made because their list was empty
+}
+
+// trimEvery is how many Gets a manager serves between two looks at the
+// GC cycle count; trimAfter is how many cycles a trim window spans, the
+// two collections after which a sync.Pool drops what it holds.
+const (
+	trimEvery = 64
+	trimAfter = 2
+)
+
+// freeList is a LIFO of records linked through record.next. low is the
+// fewest records the list held since the last trim: that many records at
+// its bottom were not taken once in the whole window.
+type freeList struct {
+	head *record
+	n    int
+	low  int
+}
+
+func (l *freeList) pop() *record {
+	r := l.head
+	if r == nil {
+		return nil
+	}
+	l.head, r.next = r.next, nil
+	l.n--
+	l.low = min(l.low, l.n)
+	return r
+}
+
+func (l *freeList) push(r *record) {
+	r.next, l.head = l.head, r
+	l.n++
+}
+
+// trim unlinks the low-water count of records from the bottom of the
+// list and leaves them to the garbage collector; the next window starts
+// with what is left.
+func (l *freeList) trim() {
+	keep := l.n - l.low
+	var rest *record
+	if keep == 0 {
+		rest, l.head = l.head, nil
+	} else {
+		last := l.head
+		for range keep - 1 {
+			last = last.next
+		}
+		rest, last.next = last.next, nil
+	}
+	for rest != nil { // a stale handle to a dropped record must not pin the ones behind it
+		next := rest.next
+		rest.next = nil
+		rest = next
+	}
+	l.n, l.low = keep, keep
+}
+
+// tickLocked counts one Get. Every trimEvery Gets it reads the GC cycle
+// count, and once trimAfter cycles have passed since the last trim it
+// trims every list by its low-water count. Steady traffic reaches its
+// peak within a window, so its low-water is zero and it keeps every
+// record; a burst's surplus sits unused through the next whole window and
+// goes at the trim that ends it. A manager that serves no Gets never
+// trims: it keeps its last working set. Caller holds p.mu.
+func (p *bufPool) tickLocked() {
+	if p.gets++; p.gets < trimEvery {
+		return
+	}
+	p.gets = 0
+	p.cycles[0].Name = "/gc/cycles/total:gc-cycles"
+	metrics.Read(p.cycles[:])
+	now := p.cycles[0].Value.Uint64()
+	if now-p.trimmed < trimAfter {
+		return
+	}
+	p.trimmed = now
+	for c := range p.classes {
+		p.classes[c].trim()
+	}
+	p.bare.trim()
+}
+
+// take pops a record from list l; nil means the list is empty.
+func (p *bufPool) take(l *freeList) *record {
+	p.mu.Lock()
+	p.tickLocked()
+	r := l.pop()
+	p.mu.Unlock()
+	return r
+}
+
+// put returns a record to list l.
+func (p *bufPool) put(l *freeList, r *record) {
+	p.mu.Lock()
+	l.push(r)
+	p.mu.Unlock()
+}
+
+// bytesPooled is the heap storage the class lists hold.
+func (p *bufPool) bytesPooled() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for c := range p.classes {
+		n += int64(p.classes[c].n) << (c + minClassShift)
+	}
+	return n
 }
 
 // classFor returns the size-class slot for a raw allocation size, or -1 if
@@ -54,10 +174,12 @@ func misalign(raw []byte) int {
 
 // bareRecord returns a record without storage.
 func (p *bufPool) bareRecord(m *Manager) *record {
-	if v := p.bare.Get(); v != nil {
-		return v.(*record)
+	r := p.take(&p.bare)
+	if r == nil {
+		p.fresh.Add(1)
+		r = &record{mgr: m}
 	}
-	return &record{mgr: m}
+	return r
 }
 
 // get returns a record owning heap storage with at least n usable,
@@ -65,11 +187,12 @@ func (p *bufPool) bareRecord(m *Manager) *record {
 func (p *bufPool) get(m *Manager, n int) *record {
 	size := (n + arenaAlign - 1) &^ (arenaAlign - 1) // over-max requests are allocated directly
 	if c := classFor(n); c >= 0 {
-		if v := p.classes[c].Get(); v != nil {
-			return v.(*record)
+		if r := p.take(&p.classes[c]); r != nil {
+			return r
 		}
 		size = 1 << (c + minClassShift)
 	}
+	p.fresh.Add(1)
 	// The allocation is exactly the class size: padding it by arenaAlign-1
 	// up front pushed any capacity sitting exactly on a class boundary
 	// (1<<maxClassShift most visibly) out of its class. Go's allocator
@@ -108,8 +231,8 @@ func (r *record) lend() Buffer {
 
 // recycle disposes of a record whose incarnation ended: a destructed
 // message, or a buffer discarded unused. Storage that has an owner goes
-// back to it; class-sized heap storage stays attached to the record in
-// its class pool. With quarantined set (a message destructed in
+// back to it; class-sized heap storage stays attached to the record on
+// its class list. With quarantined set (a message destructed in
 // lifecycle-debug mode) nothing recirculates: the heap allocation is
 // pinned by a tombstone and the record is left dead, so a stale handle
 // or field pointer is detected instead of resolving to a later occupant.
@@ -131,7 +254,7 @@ func (m *Manager) recycle(r *record, quarantined bool) {
 		quarantine(r, r.raw)
 	default:
 		if c := classFor(len(r.raw)); c >= 0 && len(r.raw) == 1<<(c+minClassShift) {
-			m.pool.classes[c].Put(r)
+			m.pool.put(&m.pool.classes[c], r)
 			return
 		}
 	}
@@ -140,7 +263,7 @@ func (m *Manager) recycle(r *record, quarantined bool) {
 	}
 	r.raw, r.arena, r.base, r.end = nil, nil, 0, 0
 	r.bs, r.shared, r.hasShared, r.extOwner, r.extToken = nil, 0, false, nil, 0
-	m.pool.bare.Put(r)
+	m.pool.put(&m.pool.bare, r)
 }
 
 // Buffer is a loose arena obtained from a Manager: storage that is not a

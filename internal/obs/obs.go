@@ -608,6 +608,8 @@ type CoreSnapshot struct {
 	StatePublished int64  `json:"state_published"`
 	MaxLive        int64  `json:"max_live"`
 	MaxBytesLive   int64  `json:"max_bytes_live"`
+	Fresh          uint64 `json:"fresh"`
+	BytesPooled    int64  `json:"bytes_pooled"`
 	LiveGlobal     int    `json:"live_global"`
 }
 
@@ -642,6 +644,8 @@ func (r *Registry) Snapshot() Snapshot {
 			StatePublished: st.StatePublished,
 			MaxLive:        st.MaxLive,
 			MaxBytesLive:   st.MaxBytesLive,
+			Fresh:          st.Fresh,
+			BytesPooled:    st.BytesPooled,
 			LiveGlobal:     core.LiveMessages(),
 		},
 		Publishers:  map[string]PubSnapshot{},

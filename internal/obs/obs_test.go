@@ -183,6 +183,10 @@ func TestSnapshotTracksCoreLifecycle(t *testing.T) {
 	if after.Live != before.Live || after.Frees != mid.Frees+1 {
 		t.Fatalf("snapshot did not observe the free: before=%+v after=%+v", before, after)
 	}
+	// The freed arena went back to its free list with its storage.
+	if after.BytesPooled <= mid.BytesPooled || after.Fresh < before.Fresh {
+		t.Fatalf("snapshot did not observe the recycle: mid=%+v after=%+v", mid, after)
+	}
 }
 
 func TestGraphSnapshot(t *testing.T) {

@@ -107,18 +107,6 @@ func AppendFrameHeader(dst []byte, payloadLen int, crc uint32) []byte {
 	return append(dst, hdr[:]...)
 }
 
-// AppendTaggedFrameHeader appends the header of a tagged frame plus the
-// tag byte itself: the frame's wire payload is tag||body, so the
-// announced length is bodyLen+1 and crc must cover the tag and the
-// body (Checksum2). Header and tag travel contiguously so a vectored
-// write needs only one extra span for the body.
-func AppendTaggedFrameHeader(dst []byte, tag byte, bodyLen int, crc uint32) []byte {
-	var hdr [FrameHeaderSize + 1]byte
-	PutFrameHeader(hdr[:FrameHeaderSize], bodyLen+1, crc)
-	hdr[FrameHeaderSize] = tag
-	return append(dst, hdr[:]...)
-}
-
 // FrameVectors returns the wire spans of one checked frame — the
 // header, encoded into hdrBuf's storage, then the payload — ready for a
 // single vectored write. hdrBuf must have FrameHeaderSize bytes of

@@ -55,45 +55,6 @@ func TestAppendFrameHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendTaggedFrameHeaderRoundTrip: tagged headers announce
-// bodyLen+1, carry the tag contiguously after the header, and the crc
-// covers tag||body.
-func TestAppendTaggedFrameHeaderRoundTrip(t *testing.T) {
-	body := []byte("tagged-body")
-	const tag = 0x02
-	crc := Checksum2([]byte{tag}, body)
-
-	var stream []byte
-	stream = AppendTaggedFrameHeader(stream, tag, len(body), crc)
-	stream = append(stream, body...)
-
-	// Must equal the unvectored tagged encoding: header(len+1, crc) ||
-	// tag || body.
-	var want []byte
-	want = AppendFrameHeader(want, len(body)+1, crc)
-	want = append(want, tag)
-	want = append(want, body...)
-	if !bytes.Equal(stream, want) {
-		t.Fatalf("tagged frame bytes = %x, want %x", stream, want)
-	}
-
-	s := NewFrameScanner(bytes.NewReader(stream), 1<<20)
-	n, gotCRC, err := s.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(body)+1 || gotCRC != crc {
-		t.Fatalf("scanner returned (%d, %08x), want (%d, %08x)", n, gotCRC, len(body)+1, crc)
-	}
-	payload := stream[FrameHeaderSize:]
-	if payload[0] != tag {
-		t.Fatalf("tag byte = %#x, want %#x", payload[0], tag)
-	}
-	if Checksum(payload) != crc {
-		t.Fatal("crc does not cover tag||body")
-	}
-}
-
 // TestChecksumBytesAccounting: the hashes-once test hook must count
 // exactly the bytes fed to Checksum and Checksum2.
 func TestChecksumBytesAccounting(t *testing.T) {

@@ -79,6 +79,12 @@ check "a peer reference is minted outside internal/ros/shm.go" \
 check "a share-undo path is back" \
 	"$(grep -rn 'Unshare' --include='*.go' . || true)"
 
+# The message manager owns its arena free lists (DESIGN §3.2): a
+# sync.Pool is emptied by every collection, and refilling it allocated
+# a fresh arena and per-P storage after each one.
+check "a sync.Pool is back in the message manager (internal/core)" \
+	"$(grep -rn 'sync\.Pool' internal/core --include='*.go' | nontest | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
+
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
 

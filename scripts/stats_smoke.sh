@@ -8,7 +8,8 @@
 #      bandwidth, drops, latency quantiles), and
 #   2. the node's /metrics endpoint serves a JSON snapshot with the
 #      expected schema (node name, per-topic publisher instruments with
-#      the per-reason drops_oversized, core life-cycle gauges, graph-plane
+#      the per-reason drops_oversized, core life-cycle gauges and the
+#      arena cache (fresh records, bytes pooled), graph-plane
 #      resilience instruments, and the sharded fan-out plane: per-shard
 #      egress counters plus the relay-tier gauges).
 #
@@ -80,7 +81,8 @@ if command -v jq >/dev/null 2>&1; then
         and (.obs.publishers["camera/image"] | has("drops") and has("drops_oversized"))
         and (.obs.publishers["camera/image"].drops_oversized == 0)
         and (.obs.core | has("live") and has("max_live")
-             and has("state_published") and has("bytes_live"))
+             and has("state_published") and has("bytes_live")
+             and has("fresh") and has("bytes_pooled"))
         and (.obs | has("subscribers") and has("services"))
         and (.obs.graph | has("master_reconnects") and has("replays")
              and has("resync") and has("ghost_expiries")
@@ -119,6 +121,7 @@ if command -v jq >/dev/null 2>&1; then
     }
 else
     for key in '"node"' '"obs"' '"publishers"' '"drops_oversized"' '"core"' '"live"' '"max_live"' \
+        '"fresh"' '"bytes_pooled"' \
         '"fanout"' '"active_shards"' '"shards"' '"relay"' '"frames_in"' \
         '"failovers"' '"failed_candidates"' '"epoch"' '"replication_lag_ms"' \
         '"fallbacks_by_reason"' '"heap_arena"' '"promotions"' \
