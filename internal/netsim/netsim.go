@@ -345,6 +345,10 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	}
 	for {
 		n, err := c.conn.Read(b)
+		if c.f.isPartitioned() { // bytes that arrive once the link is cut never did
+			c.conn.Close()
+			return 0, ErrPartitioned
+		}
 		if graced || n == 0 {
 			return n, err
 		}

@@ -1,9 +1,12 @@
 package ros
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -12,18 +15,19 @@ import (
 // types or definitions.
 var ErrTypeMismatch = errors.New("ros: topic type mismatch")
 
-// PublisherInfo describes one advertised publisher endpoint.
+// PublisherInfo describes one advertised publisher endpoint. Its JSON
+// form is the master protocol's.
 type PublisherInfo struct {
-	NodeName string
-	Addr     string // "host:port" of the publisher's topic listener; "" for inproc-only
-	TypeName string
-	MD5      string
+	NodeName string `json:"node"`
+	Addr     string `json:"addr"` // "host:port" of the publisher's topic listener; "" for inproc-only
+	TypeName string `json:"type"`
+	MD5      string `json:"md5"`
 	// Relay marks a relay-tier endpoint (cmd/rosrelay): a process that
 	// re-publishes the origin's frames to take fan-out load off it.
 	// Subscribers that see relay publishers for a topic attach to exactly
 	// one relay instead of the origin (unless they opt out with
 	// WithoutRelay); relays themselves subscribe with WithoutRelay.
-	Relay bool
+	Relay bool `json:"relay,omitempty"`
 
 	// direct is set when the publisher lives in this process (LocalMaster
 	// only); subscribers attach to it without a socket — the intra-process
@@ -177,13 +181,16 @@ func (ts *topicState) snapshot() []PublisherInfo {
 	for _, p := range ts.pubs {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NodeName != out[j].NodeName {
-			return out[i].NodeName < out[j].NodeName
-		}
-		return out[i].Addr < out[j].Addr
-	})
+	sortPubs(out)
 	return out
+}
+
+// sortPubs orders a publisher set as every snapshot is: by node name,
+// then address.
+func sortPubs(pubs []PublisherInfo) {
+	slices.SortFunc(pubs, func(a, b PublisherInfo) int {
+		return cmp.Or(strings.Compare(a.NodeName, b.NodeName), strings.Compare(a.Addr, b.Addr))
+	})
 }
 
 // notify fans the current snapshot out to all watchers. Callers hold
@@ -263,12 +270,13 @@ func (m *LocalMaster) Topics() []string {
 	return out
 }
 
-// TopicInfo summarizes one topic for introspection tools (rostopic).
+// TopicInfo summarizes one topic for introspection tools (rostopic). Its
+// JSON form is the master protocol's.
 type TopicInfo struct {
-	Name          string
-	TypeName      string
-	MD5           string
-	NumPublishers int
+	Name          string `json:"name"`
+	TypeName      string `json:"type"`
+	MD5           string `json:"md5"`
+	NumPublishers int    `json:"pubs"`
 }
 
 // ScanHolds measures, for each stripe, how long an introspection scan

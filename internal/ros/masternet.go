@@ -2,12 +2,16 @@ package ros
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
+	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,10 +20,8 @@ import (
 	"rossf/internal/obs"
 )
 
-// The TCP master protocol lets nodes in different processes share one
-// graph master (the paper's multi-process intra-machine setting, and
-// cmd/rosmaster's job). It is newline-delimited JSON over a persistent
-// connection per client:
+// The master protocol (cmd/rosmaster) is newline-delimited JSON over one
+// persistent TCP connection per client:
 //
 //	client -> server  {"op":"regpub","id":1,"topic":"t","node":"n","addr":"a","type":"y","md5":"m"}
 //	                  {"op":"unregpub","id":2,"handle":7}
@@ -29,18 +31,11 @@ import (
 //	                  {"op":"err","id":1,"msg":"...","code":"type_mismatch"}
 //	                  {"op":"pubs","handle":9,"pubs":[{"node":"n","addr":"a"}]}  (async push)
 //
-// The master is stateless across restarts: registrations live exactly as
-// long as the client connection that made them. Crash tolerance is
-// therefore client-side — RemoteMaster journals its desired state
-// (publisher/service registrations, active watches) and, when the
-// connection drops, reconnects with bounded exponential backoff and
-// replays the journal against the restarted master, remapping server
-// handles transparently. While disconnected the session is "degraded":
-// established data-plane connections keep flowing untouched and every
-// new master call fails fast with ErrMasterUnavailable instead of
-// hanging. On the server side, a liveness watchdog expires clients that
-// go silent (no request or ping within the expiry window), so a
-// SIGKILLed or partitioned node cannot leave ghost registrations behind.
+// Registrations live as long as the connection that made them, so the
+// master keeps no state across restarts: RemoteMaster logs its
+// registrations and watches (reglog.go) and replays them to every new
+// session. While disconnected it is "degraded": data-plane connections
+// keep flowing and master calls fail fast with ErrMasterUnavailable.
 
 // ErrMasterUnavailable reports a master call attempted (or in flight)
 // while the connection to the master is down. The client keeps
@@ -48,163 +43,211 @@ import (
 // unaffected. Callers match it with errors.Is.
 var ErrMasterUnavailable = errors.New("ros: master unavailable")
 
+var errMasterClosed = errors.New("ros: remote master closed")
+
 // masterMsg is the single wire envelope of the master protocol.
 type masterMsg struct {
-	Op     string       `json:"op"`
-	ID     int64        `json:"id,omitempty"`
-	Handle int64        `json:"handle,omitempty"`
-	Topic  string       `json:"topic,omitempty"`
-	Node   string       `json:"node,omitempty"`
-	Addr   string       `json:"addr,omitempty"`
-	Type   string       `json:"type,omitempty"`
-	MD5    string       `json:"md5,omitempty"`
-	Msg    string       `json:"msg,omitempty"`
-	Code   string       `json:"code,omitempty"`  // error category ("type_mismatch")
-	Resp   string       `json:"resp,omitempty"`  // service response type
-	Found  bool         `json:"found,omitempty"` // lookupsrv result
-	Relay  bool         `json:"relay,omitempty"` // regpub: relay-tier endpoint
-	Pubs   []masterPub  `json:"pubs,omitempty"`
-	Topics []wireTopics `json:"topics,omitempty"`
+	Op     string          `json:"op"`
+	ID     int64           `json:"id,omitempty"`
+	Handle int64           `json:"handle,omitempty"`
+	Topic  string          `json:"topic,omitempty"`
+	Node   string          `json:"node,omitempty"`
+	Addr   string          `json:"addr,omitempty"`
+	Type   string          `json:"type,omitempty"`
+	MD5    string          `json:"md5,omitempty"`
+	Msg    string          `json:"msg,omitempty"`
+	Code   string          `json:"code,omitempty"`  // error category ("type_mismatch")
+	Resp   string          `json:"resp,omitempty"`  // service response type
+	Found  bool            `json:"found,omitempty"` // lookupsrv result
+	Relay  bool            `json:"relay,omitempty"` // regpub: relay-tier endpoint
+	Pubs   []PublisherInfo `json:"pubs,omitempty"`
+	Topics []TopicInfo     `json:"topics,omitempty"`
 
-	// Replication + failover fields (DESIGN §3.14). Epoch rides on every
-	// response (servers stamp their current epoch) and on every request
-	// (clients echo the highest epoch they have seen — a lower-epoch
-	// zombie master answers err:stale_epoch and fences itself). The rest
-	// carry the standby feed: repl_sync/repl_snap/repl_op/repl_hb.
+	// Epoch rides on every line, so a stale master fences as soon as it
+	// sees a newer one (DESIGN §3.14); the rest is the standby feed.
 	Epoch int64     `json:"epoch,omitempty"`
-	Seq   uint64    `json:"seq,omitempty"`   // repl_op/repl_hb/repl_snap sequence
+	Seq   uint64    `json:"seq,omitempty"`   // repl_op/repl_hb/repl_snap log position
 	Kind  string    `json:"kind,omitempty"`  // repl_op kind (regpub/unregpub/regsrv/unregsrv)
 	Owner int64     `json:"owner,omitempty"` // repl_op registration owner id
 	RPubs []replReg `json:"rpubs,omitempty"` // repl_snap publisher table
 	RSrvs []replReg `json:"rsrvs,omitempty"` // repl_snap service table
 }
 
-// opSessionDown is a client-internal sentinel injected into reply
-// channels when the session dies with calls in flight; it never crosses
-// the wire.
+// opSessionDown fails the calls in flight on a dead session; it never
+// crosses the wire.
 const opSessionDown = "_down"
 
-// codeTypeMismatch tags err responses whose cause is ErrTypeMismatch so
-// the client can rebuild the error category across the wire.
-const codeTypeMismatch = "type_mismatch"
+// Error codes of err responses. type_mismatch rebuilds ErrTypeMismatch
+// on the client. stale_epoch (a fenced master) and standby (an
+// unpromoted standby refusing a write) make a client treat the master
+// as unavailable and rotate to its next candidate.
+const (
+	codeTypeMismatch = "type_mismatch"
+	codeStaleEpoch   = "stale_epoch"
+	codeStandby      = "standby"
+)
 
-// codeStaleEpoch tags err responses from a fenced master: the cluster
-// has moved to a higher epoch than this server's, so it refuses every
-// operation. Clients treat it like an unavailable master and fail over
-// to the next candidate address.
-const codeStaleEpoch = "stale_epoch"
-
-// codeStandby tags err responses from an unpromoted standby rejecting a
-// write. Clients with pending registrations rotate to the next
-// candidate; read-only clients may keep using the standby.
-const codeStandby = "standby"
-
-// wireTopics is the JSON shape of TopicInfo.
-type wireTopics struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-	MD5  string `json:"md5"`
-	Pubs int    `json:"pubs"`
+// writeLine writes m as one protocol line (json.Encoder's bytes).
+func writeLine(conn net.Conn, m *masterMsg) error {
+	b, err := json.Marshal(m)
+	if err != nil {
+		return err
+	}
+	return writeRaw(conn, append(b, '\n'))
 }
 
-type masterPub struct {
-	Node  string `json:"node"`
-	Addr  string `json:"addr"`
-	Type  string `json:"type"`
-	MD5   string `json:"md5"`
-	Relay bool   `json:"relay,omitempty"`
+// writeRaw writes one line under a deadline: a peer that cannot keep up
+// is severed, never waited for.
+func writeRaw(conn net.Conn, line []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
+	_, err := conn.Write(line)
+	conn.SetWriteDeadline(time.Time{})
+	return err
 }
 
-// defaultClientExpiry is how long the server lets a client go silent
-// before expiring it and its registrations. RemoteMaster heartbeats at
-// defaultMasterHeartbeat, so a healthy client is never near the limit.
-const defaultClientExpiry = 15 * time.Second
+func lineScanner(conn net.Conn, max int) *bufio.Scanner {
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64*1024), max)
+	return sc
+}
 
-// defaultMasterHeartbeat is the client ping interval; it doubles as the
-// client's detector for silently dead master connections.
-const defaultMasterHeartbeat = 3 * time.Second
+func decodeLine(b []byte) (m masterMsg, err error) {
+	err = json.Unmarshal(b, &m)
+	return m, err
+}
 
-// defaultResyncGrace is how long after a journal replay the client
-// treats publisher removals in watch pushes as suspect: right after a
-// master restart other clients are still replaying their own journals,
-// so a momentarily shrunken publisher set must not tear down live
-// subscriber connections. Additions are applied immediately; removals
-// are held back (the delivered set is the union of old and new) until
-// the grace expires, at which point the latest raw set is delivered.
-const defaultResyncGrace = 3 * time.Second
+// decode reads one line: short's own short form (a ping, or its ok)
+// without encoding/json, anything else with it.
+func decode(line []byte, short string) (masterMsg, error) {
+	if id, epoch, ok := parseShort(line, short); ok {
+		return masterMsg{Op: short, ID: id, Epoch: epoch}, nil
+	}
+	return decodeLine(line)
+}
+
+// malformed counts a line that is not JSON and logs the first one of a
+// connection.
+func malformed(g *obs.GraphStats, warned *bool, from any, err error) {
+	g.MalformedLines.Inc()
+	if !*warned {
+		*warned = true
+		log.Printf("ros: master: malformed line from %v (counted, logged once per connection): %v", from, err)
+	}
+}
+
+// appendShort appends the line of a message carrying only op, id and
+// epoch — a ping and its ok — byte for byte as json.Marshal writes it,
+// without building one: a heartbeat allocates nothing on either end.
+func appendShort(b []byte, op string, id, epoch int64) []byte {
+	b = append(append(append(b, `{"op":"`...), op...), '"')
+	if id != 0 {
+		b = strconv.AppendInt(append(b, `,"id":`...), id, 10)
+	}
+	if epoch != 0 {
+		b = strconv.AppendInt(append(b, `,"epoch":`...), epoch, 10)
+	}
+	return append(b, "}\n"...)
+}
+
+// parseShort reads back exactly the lines appendShort writes for op
+// (newline stripped); any other line goes through encoding/json.
+func parseShort(line []byte, op string) (id, epoch int64, ok bool) {
+	rest, ok := cutString(line, `{"op":"`)
+	if rest, ok = cutString(rest, op); ok {
+		rest, ok = cutString(rest, `"`)
+	}
+	if ok {
+		if id, rest, ok = cutInt(rest, `,"id":`); ok {
+			epoch, rest, ok = cutInt(rest, `,"epoch":`)
+		}
+	}
+	return id, epoch, ok && string(rest) == "}"
+}
+
+func cutString(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return b, false
+	}
+	return b[len(prefix):], true
+}
+
+// cutInt reads an optional `key digits` field; ok is false only when the
+// key is there without a positive number json would write.
+func cutInt(b []byte, key string) (v int64, rest []byte, ok bool) {
+	rest, found := cutString(b, key)
+	if !found {
+		return 0, b, true
+	}
+	i := 0
+	for ; i < len(rest) && i < 18 && rest[i] >= '0' && rest[i] <= '9'; i++ {
+		v = v*10 + int64(rest[i]-'0')
+	}
+	return v, rest[i:], i > 0 && rest[0] != '0'
+}
+
+const (
+	// defaultClientExpiry is how long the server lets a client go silent
+	// before expiring it; a heartbeating client is never near it.
+	defaultClientExpiry = 15 * time.Second
+	// defaultMasterHeartbeat is the client ping interval, which is also
+	// the client's detector for silently dead master connections.
+	defaultMasterHeartbeat = 3 * time.Second
+	// defaultResyncGrace is how long after a replay watch pushes may add
+	// publishers but not remove them: other clients are still replaying,
+	// and a momentarily shrunken set must not tear down live links.
+	defaultResyncGrace = 3 * time.Second
+)
 
 // MasterServerOption configures NewMasterServer.
-type MasterServerOption func(*masterServerConfig)
+type MasterServerOption func(*MasterServer)
 
-type masterServerConfig struct {
-	metrics    *obs.Registry
-	metricsSet bool
-	expiry     time.Duration
-	standby    string // primary address(es) to follow; "" boots as primary
-	lease      time.Duration
-	epoch      int64
-	epochFile  string
-	dialRepl   DialFunc
-}
-
-// WithServerMetrics selects the registry recording the server's graph
-// instruments (ghost expiries, malformed request lines). Default
-// obs.Default(); pass nil to disable.
+// WithServerMetrics selects the registry of the server's graph
+// instruments. Default obs.Default(); nil disables them.
 func WithServerMetrics(r *obs.Registry) MasterServerOption {
-	return func(c *masterServerConfig) {
-		c.metrics = r
-		c.metricsSet = true
-	}
+	return func(s *MasterServer) { s.graph = r.Graph() }
 }
 
 // WithClientExpiry sets how long a client may go silent (no request, no
 // ping) before the server expires it and cancels its registrations.
-// Zero keeps the default; negative disables expiry entirely.
+// Zero keeps the default (15s); negative disables expiry.
 func WithClientExpiry(d time.Duration) MasterServerOption {
-	return func(c *masterServerConfig) { c.expiry = d }
+	return func(s *MasterServer) { s.expiry = d }
 }
 
-// WithStandby boots the server as a warm standby following the primary
-// at addr (comma-separated candidates allowed). A standby replicates
-// the primary's registration table, serves reads, rejects writes with
-// err:standby, and self-promotes — bumping the epoch — once the
-// primary's lease expires (see WithPrimaryLease).
+// WithStandby boots the server as a warm standby of the primary at addr
+// (comma-separated candidates allowed): it replicates the primary's
+// log, serves reads, rejects writes, and promotes itself once the
+// primary's lease expires (WithPrimaryLease).
 func WithStandby(addr string) MasterServerOption {
-	return func(c *masterServerConfig) { c.standby = addr }
+	return func(s *MasterServer) { s.standby = addr }
 }
 
-// WithPrimaryLease sets the replication lease window (default 5s). On a
-// standby it is the silence threshold that triggers self-promotion; on
-// a primary it sets the follower heartbeat cadence (lease/3). Run both
-// sides of a pair with the same value.
+// WithPrimaryLease sets the replication lease (default 5s) on both
+// sides of a pair: a standby's promotion silence, thrice the heartbeat.
 func WithPrimaryLease(d time.Duration) MasterServerOption {
-	return func(c *masterServerConfig) { c.lease = d }
+	return func(s *MasterServer) { s.lease = d }
 }
 
-// WithEpoch sets the server's starting epoch (default 1 for a primary,
-// 0 for a standby, which learns the epoch from its primary). Restart
-// tooling passes the persisted epoch here so a once-failed-over primary
-// comes back knowing it may be stale.
+// WithEpoch sets the starting epoch (default 1; a standby learns its
+// primary's), so a restarted primary knows it may be stale.
 func WithEpoch(e int64) MasterServerOption {
-	return func(c *masterServerConfig) { c.epoch = e }
+	return func(s *MasterServer) { s.epoch.Store(e) }
 }
 
-// WithEpochFile persists the epoch to path on boot and promotion, and
-// is the natural companion of LoadEpochFile in restart scripts.
+// WithEpochFile persists the epoch to path on boot and promotion (see
+// LoadEpochFile).
 func WithEpochFile(path string) MasterServerOption {
-	return func(c *masterServerConfig) { c.epochFile = path }
+	return func(s *MasterServer) { s.epochFile = path }
 }
 
-// WithReplicationDialer replaces the dialer the standby uses toward its
-// primary (and the promoted standby uses for fencing probes) — netsim
-// links use this to model a partition inside the master pair.
+// WithReplicationDialer replaces the dialer a standby uses toward its
+// primary and for fencing probes (netsim partitions the pair with it).
 func WithReplicationDialer(d DialFunc) MasterServerOption {
-	return func(c *masterServerConfig) { c.dialRepl = d }
+	return func(s *MasterServer) { s.dialRepl = d }
 }
 
-// MasterServer serves a LocalMaster over TCP — as a write-accepting
-// primary, or as a warm standby replicating one (see WithStandby and
-// DESIGN §3.14).
+// MasterServer serves a LocalMaster over TCP, as a primary or as a warm
+// standby of one (WithStandby, DESIGN §3.14).
 type MasterServer struct {
 	master    *LocalMaster
 	listener  net.Listener
@@ -216,17 +259,20 @@ type MasterServer struct {
 	dialRepl  DialFunc
 	wg        sync.WaitGroup
 	closeCh   chan struct{}
+	fencedCh  chan struct{} // closed when the server fences itself
 
 	epoch    atomic.Int64
 	primary  atomic.Bool // accepts writes (boot primary, or promoted standby)
 	fenced   atomic.Bool // observed a higher epoch: rejects everything
 	ownerSeq atomic.Int64
 
-	// repl is the primary-side replication hub; replica/replicaMu hold
-	// the standby-side applied state until promotion transfers it.
-	repl      replHub
-	replicaMu sync.Mutex
-	replica   map[replKey]*regEntry
+	// log holds the registrations served: a primary's own, or a standby's
+	// replica of its primary's, which promotion takes over as is.
+	// inherited indexes the entries a promotion took over that no client
+	// has adopted yet; nil outside the adoption window.
+	log       *regLog
+	inheritMu sync.Mutex
+	inherited map[adoptKey]*regEntry
 
 	mu     sync.Mutex
 	closed bool
@@ -236,60 +282,37 @@ type MasterServer struct {
 // NewMasterServer starts serving on addr (e.g. "127.0.0.1:11311", the
 // traditional ROS master port).
 func NewMasterServer(addr string, opts ...MasterServerOption) (*MasterServer, error) {
-	cfg := masterServerConfig{expiry: defaultClientExpiry, lease: defaultPrimaryLease}
+	s := &MasterServer{
+		master:   NewLocalMaster(),
+		graph:    obs.Default().Graph(),
+		dialRepl: func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+		closeCh:  make(chan struct{}),
+		fencedCh: make(chan struct{}),
+		log:      newRegLog(regTail),
+		conns:    make(map[net.Conn]struct{}),
+	}
 	for _, o := range opts {
-		o(&cfg)
+		o(s)
 	}
-	if !cfg.metricsSet {
-		cfg.metrics = obs.Default()
+	if s.graph == nil {
+		s.graph = new(obs.GraphStats) // sink: instruments stay nil-safe to update
 	}
-	if cfg.expiry == 0 {
-		cfg.expiry = defaultClientExpiry
+	if s.expiry == 0 {
+		s.expiry = defaultClientExpiry
 	}
-	if cfg.lease <= 0 {
-		cfg.lease = defaultPrimaryLease
+	if s.lease <= 0 {
+		s.lease = defaultPrimaryLease
 	}
-	if cfg.dialRepl == nil {
-		cfg.dialRepl = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
+	var err error
+	if s.listener, err = net.Listen("tcp", addr); err != nil {
 		return nil, fmt.Errorf("ros: master listen: %w", err)
 	}
-	graph := cfg.metrics.Graph()
-	if graph == nil {
-		graph = new(obs.GraphStats) // sink: instruments stay nil-safe to update
-	}
-	s := &MasterServer{
-		master:    NewLocalMaster(),
-		listener:  l,
-		graph:     graph,
-		expiry:    cfg.expiry,
-		lease:     cfg.lease,
-		standby:   cfg.standby,
-		epochFile: cfg.epochFile,
-		dialRepl:  cfg.dialRepl,
-		closeCh:   make(chan struct{}),
-		replica:   make(map[replKey]*regEntry),
-		conns:     make(map[net.Conn]struct{}),
-	}
-	s.repl.table = make(map[replKey]*regEntry)
-	s.repl.followers = make(map[*replFollower]struct{})
-	if cfg.standby != "" {
-		// A standby learns the epoch from its primary's snapshot; a
-		// configured epoch only raises the floor (stale sources are then
-		// rejected from the first handshake).
-		s.epoch.Store(cfg.epoch)
+	if s.standby != "" {
+		// The configured epoch is a floor: older primaries are rejected.
 		s.wg.Add(1)
 		go s.follow()
 	} else {
-		epoch := cfg.epoch
-		if fromFile := LoadEpochFile(cfg.epochFile); fromFile > epoch {
-			epoch = fromFile
-		}
-		if epoch <= 0 {
-			epoch = 1
-		}
+		epoch := max(s.epoch.Load(), LoadEpochFile(s.epochFile), 1)
 		s.epoch.Store(epoch)
 		s.primary.Store(true)
 		s.persistEpoch(epoch)
@@ -306,11 +329,9 @@ func (s *MasterServer) Addr() string { return s.listener.Addr().String() }
 // Close stops the server and disconnects all clients immediately.
 func (s *MasterServer) Close() error { return s.Shutdown(0) }
 
-// Shutdown stops accepting new clients, waits up to grace for connected
-// clients to hang up on their own (in-flight requests finish; idle
-// heartbeating clients will not leave voluntarily, so grace bounds the
-// wait), then severs the remainder and joins all goroutines.
-// cmd/rosmaster calls this on SIGTERM.
+// Shutdown stops accepting clients, waits up to grace for connected ones
+// to hang up, then severs the rest and joins all goroutines
+// (cmd/rosmaster's SIGTERM).
 func (s *MasterServer) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -322,25 +343,19 @@ func (s *MasterServer) Shutdown(grace time.Duration) error {
 
 	close(s.closeCh)
 	s.listener.Close()
-	deadline := time.Now().Add(grace)
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(grace); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()
 		if n == 0 {
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
 		c.Close()
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
 }
@@ -371,125 +386,74 @@ func (s *MasterServer) acceptLoop() {
 	}
 }
 
-// serveClient owns one client connection: requests are served in order;
-// watch pushes are serialized through the shared encoder mutex. A
-// liveness watchdog expires the client — cancelling every registration
-// it made — if it goes silent for longer than the expiry window, so a
-// SIGKILLed or partitioned node cannot leave ghost publishers that
-// subscribers redial forever.
+// serveClient serves one connection's requests in order. A client silent
+// past the expiry window is severed and its registrations cancelled, so
+// a SIGKILLed or partitioned node leaves no ghost publishers behind.
 func (s *MasterServer) serveClient(conn net.Conn) {
 	defer conn.Close()
-	var writeMu sync.Mutex
-	enc := json.NewEncoder(conn)
+	// send stamps every line with the epoch, so clients learn of
+	// promotions from any traffic, and severs a client too slow to take
+	// it. sendPong answers a ping without building a message.
+	var wmu sync.Mutex
+	pong := make([]byte, 0, 64)
 	send := func(m masterMsg) {
-		// Every response carries the server's current epoch so clients
-		// learn about promotions from ordinary traffic.
 		m.Epoch = s.epoch.Load()
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		// Watch pushes run on the master's notify path; a stalled client
-		// must not wedge fanout to every other watcher. Deadline the
-		// write and sever the client if it cannot keep up — the read
-		// loop then tears down its registrations.
-		conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-		if err := enc.Encode(m); err != nil {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if writeLine(conn, &m) != nil {
 			conn.Close()
-			return
 		}
-		conn.SetWriteDeadline(time.Time{})
 	}
-
-	// owner scopes this connection's registrations in the replication
-	// table; follower is non-nil once the peer identifies itself as a
-	// standby via repl_sync.
-	owner := s.nextOwner()
-	var follower *replFollower
-	defer func() {
-		if follower != nil {
-			s.removeFollower(follower)
+	sendPong := func(id int64) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if pong = appendShort(pong[:0], "ok", id, s.epoch.Load()); writeRaw(conn, pong) != nil {
+			conn.Close()
 		}
-	}()
-
-	var handleMu sync.Mutex
-	nextHandle := int64(1)
+	}
+	owner := s.nextOwner() // scopes the connection's registrations in the log
+	var handle int64       // the last handle given out
 	cancels := make(map[int64]func())
+	var feedStop chan struct{} // set once the peer follows the log as a standby
 	defer func() {
-		// Skip the sweep when the whole server is going down: cancelling
-		// registrations then would push shrunken publisher sets to
-		// whichever clients happen to disconnect last — phantom teardown
-		// notifications from a master that is about to not exist. A real
-		// master crash (the case restarts model) is abrupt for everyone.
+		if feedStop != nil {
+			close(feedStop)
+		}
+		// No sweep when the server is going down: it would push phantom
+		// removals to whichever clients disconnect last.
 		s.mu.Lock()
 		dying := s.closed
 		s.mu.Unlock()
 		if dying {
 			return
 		}
-		handleMu.Lock()
-		defer handleMu.Unlock()
 		for _, cancel := range cancels {
 			cancel()
 		}
 	}()
 
-	// Liveness watchdog: lastSeen advances on every scanned line (any
-	// request, including pings). If the client goes silent past the
-	// expiry window the watchdog severs it, which runs the deferred
-	// cancel sweep above — the ghost's registrations vanish and every
-	// watcher is notified.
-	var lastSeen atomic.Int64
-	lastSeen.Store(time.Now().UnixNano())
-	if s.expiry > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		tick := s.expiry / 4
-		if tick < 10*time.Millisecond {
-			tick = 10 * time.Millisecond
+	warned := false
+	sc := lineScanner(conn, 1024*1024)
+	for {
+		if s.expiry > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.expiry))
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					idle := time.Since(time.Unix(0, lastSeen.Load()))
-					if idle > s.expiry {
-						s.graph.GhostExpiries.Inc()
-						log.Printf("ros: master: expiring silent client %s (idle %v > %v)",
-							conn.RemoteAddr(), idle.Round(time.Millisecond), s.expiry)
-						conn.Close()
-						return
-					}
-				}
+		if !sc.Scan() {
+			if errors.Is(sc.Err(), os.ErrDeadlineExceeded) {
+				s.graph.GhostExpiries.Inc()
+				log.Printf("ros: master: expiring silent client %s (idle > %v)", conn.RemoteAddr(), s.expiry)
 			}
-		}()
-	}
-
-	warnedMalformed := false
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		lastSeen.Store(time.Now().UnixNano())
-		var req masterMsg
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			s.graph.MalformedLines.Inc()
-			if !warnedMalformed {
-				warnedMalformed = true
-				log.Printf("ros: master: malformed request line from %s (counted, logged once per connection): %v",
-					conn.RemoteAddr(), err)
-			}
+			return
+		}
+		req, err := decode(sc.Bytes(), "ping")
+		if err != nil {
+			malformed(s.graph, &warned, conn.RemoteAddr(), err)
 			send(masterMsg{Op: "err", Msg: "malformed request: " + err.Error()})
 			continue
 		}
-		// Epoch fence: a request carrying a higher epoch proves a newer
-		// primary exists — this server is a zombie and must stop serving
-		// before it splits the graph. Once fenced, everything (including
-		// reads: a stale graph is as dangerous as a stale write) is
-		// rejected with the code clients use to fail over.
+		// A request from a higher epoch proves a newer primary exists:
+		// this server fences and rejects everything from then on, reads
+		// included (a stale graph is as dangerous as a stale write).
 		if req.Epoch > s.epoch.Load() {
 			s.fence(req.Epoch)
 		}
@@ -498,126 +462,73 @@ func (s *MasterServer) serveClient(conn net.Conn) {
 				Msg: fmt.Sprintf("master epoch %d is stale, cluster has moved on", s.epoch.Load())})
 			continue
 		}
+		if (req.Op == "regpub" || req.Op == "regsrv" || req.Op == "repl_sync") && !s.primary.Load() {
+			msg := "standby master rejects writes until promotion"
+			if req.Op == "repl_sync" {
+				msg = "cannot replicate from an unpromoted standby"
+			}
+			send(masterMsg{Op: "err", ID: req.ID, Code: codeStandby, Msg: msg})
+			continue
+		}
 		switch req.Op {
 		case "ping":
-			send(masterMsg{Op: "ok", ID: req.ID})
-		case "repl_ping":
-			// Follower keepalive: advances lastSeen (above), no response.
+			sendPong(req.ID)
+		case "repl_ping": // a standby's keepalive: the read deadline moved
 		case "repl_sync":
-			// A standby asks to follow us. Only a primary can feed it.
-			if !s.primary.Load() {
-				send(masterMsg{Op: "err", ID: req.ID, Code: codeStandby,
-					Msg: "cannot replicate from an unpromoted standby"})
-				continue
+			// A standby follows the log until either end goes or we fence.
+			if feedStop == nil {
+				feedStop = make(chan struct{})
+				s.wg.Add(1)
+				go func(stop chan struct{}) {
+					defer s.wg.Done()
+					s.log.feed(send, s.beat(), stop, s.fencedCh)
+					conn.Close()
+				}(feedStop)
 			}
-			if follower != nil {
-				s.removeFollower(follower)
-			}
-			follower = s.addFollower(func() { conn.Close() }, send)
-		case "regpub":
-			if !s.primary.Load() {
-				send(masterMsg{Op: "err", ID: req.ID, Code: codeStandby,
-					Msg: "standby master rejects writes until promotion"})
-				continue
-			}
-			handleMu.Lock()
-			h := nextHandle
-			nextHandle++
-			handleMu.Unlock()
-			unregister, err := s.registerPub(owner, h, req.Topic, PublisherInfo{
-				NodeName: req.Node, Addr: req.Addr, TypeName: req.Type, MD5: req.MD5,
-				Relay: req.Relay,
-			})
+		case "regpub", "regsrv":
+			handle++
+			unregister, err := s.register(req.entry(regKey{owner, handle}, req.Op))
 			if err != nil {
 				send(errMsg(req.ID, err))
 				continue
 			}
-			handleMu.Lock()
-			cancels[h] = unregister
-			handleMu.Unlock()
-			send(masterMsg{Op: "ok", ID: req.ID, Handle: h})
+			cancels[handle] = unregister
+			send(masterMsg{Op: "ok", ID: req.ID, Handle: handle})
 		case "unregpub", "unwatch", "unregsrv":
-			handleMu.Lock()
-			cancel := cancels[req.Handle]
-			delete(cancels, req.Handle)
-			handleMu.Unlock()
-			if cancel != nil {
+			if cancel := cancels[req.Handle]; cancel != nil {
+				delete(cancels, req.Handle)
 				cancel()
 			}
 			send(masterMsg{Op: "ok", ID: req.ID})
 		case "watch":
-			// Validate first, acknowledge second, subscribe third: the
-			// client must know the handle before the initial snapshot
-			// push arrives.
+			// Validate, acknowledge, then subscribe: the client must know the
+			// handle before the first push arrives.
 			if err := s.master.CheckTopic(req.Topic, req.Type, req.MD5); err != nil {
 				send(errMsg(req.ID, err))
 				continue
 			}
-			handleMu.Lock()
-			h := nextHandle
-			nextHandle++
-			handleMu.Unlock()
+			handle++
+			h := handle
 			send(masterMsg{Op: "ok", ID: req.ID, Handle: h})
-			cancel, err := s.master.WatchPublishers(req.Topic, req.Type, req.MD5,
-				func(pubs []PublisherInfo) {
-					out := make([]masterPub, len(pubs))
-					for i, p := range pubs {
-						out[i] = masterPub{Node: p.NodeName, Addr: p.Addr, Type: p.TypeName, MD5: p.MD5, Relay: p.Relay}
-					}
-					send(masterMsg{Op: "pubs", Handle: h, Pubs: out})
-				})
-			if err != nil {
-				continue // validated above; only a concurrent re-type could race here
-			}
-			handleMu.Lock()
-			cancels[h] = cancel
-			handleMu.Unlock()
-		case "regsrv":
-			if !s.primary.Load() {
-				send(masterMsg{Op: "err", ID: req.ID, Code: codeStandby,
-					Msg: "standby master rejects writes until promotion"})
-				continue
-			}
-			handleMu.Lock()
-			h := nextHandle
-			nextHandle++
-			handleMu.Unlock()
-			unregister, err := s.registerSrv(owner, h, req.Topic, ServiceInfo{
-				NodeName: req.Node, Addr: req.Addr,
-				ReqType: req.Type, RespType: req.Resp, MD5: req.MD5,
+			cancel, err := s.master.WatchPublishers(req.Topic, req.Type, req.MD5, func(pubs []PublisherInfo) {
+				send(masterMsg{Op: "pubs", Handle: h, Pubs: pubs})
 			})
-			if err != nil {
-				send(errMsg(req.ID, err))
-				continue
+			if err == nil { // validated above; only a concurrent re-type could race here
+				cancels[h] = cancel
 			}
-			handleMu.Lock()
-			cancels[h] = unregister
-			handleMu.Unlock()
-			send(masterMsg{Op: "ok", ID: req.ID, Handle: h})
 		case "lookupsrv":
-			info, found, err := s.master.LookupService(req.Topic)
-			if err != nil {
-				send(errMsg(req.ID, err))
-				continue
-			}
-			send(masterMsg{Op: "ok", ID: req.ID, Found: found,
-				Node: info.NodeName, Addr: info.Addr,
+			info, found, _ := s.master.LookupService(req.Topic)
+			send(masterMsg{Op: "ok", ID: req.ID, Found: found, Node: info.NodeName, Addr: info.Addr,
 				Type: info.ReqType, Resp: info.RespType, MD5: info.MD5})
 		case "topics":
-			infos := s.master.TopicsInfo()
-			out := make([]wireTopics, len(infos))
-			for i, ti := range infos {
-				out[i] = wireTopics{Name: ti.Name, Type: ti.TypeName, MD5: ti.MD5, Pubs: ti.NumPublishers}
-			}
-			send(masterMsg{Op: "ok", ID: req.ID, Topics: out})
+			send(masterMsg{Op: "ok", ID: req.ID, Topics: s.master.TopicsInfo()})
 		default:
 			send(masterMsg{Op: "err", ID: req.ID, Msg: "unknown op " + req.Op})
 		}
 	}
 }
 
-// errMsg builds an err response, tagging the category so the client can
-// reconstruct typed errors across the wire.
+// errMsg builds an err response, tagging its category for the client.
 func errMsg(id int64, err error) masterMsg {
 	m := masterMsg{Op: "err", ID: id, Msg: err.Error()}
 	if errors.Is(err, ErrTypeMismatch) {
@@ -633,332 +544,228 @@ type masterConfig struct {
 	retry       RetryPolicy
 	dial        DialFunc
 	metrics     *obs.Registry
-	metricsSet  bool
 	heartbeat   time.Duration
 	resyncGrace time.Duration
-	graceSet    bool
 	extraAddrs  []string
 }
 
-// WithMasterRetry replaces the reconnect schedule used after the master
-// connection drops (default DefaultRetryPolicy: 50ms doubling to 2s
-// with ±50% jitter, retrying forever). MaxAttempts > 0 bounds the
-// attempts; once exhausted the session gives up permanently and every
-// call fails with ErrMasterUnavailable.
+// WithMasterRetry replaces the reconnect schedule (default
+// DefaultRetryPolicy, forever). Once MaxAttempts > 0 rounds over the
+// candidates fail, every call fails with ErrMasterUnavailable.
 func WithMasterRetry(p RetryPolicy) MasterOption {
 	return func(c *masterConfig) { c.retry = p }
 }
 
-// WithMasterDialer replaces the transport dialer used for the master
-// connection (initial and reconnect) — netsim links use this to model a
-// partition between node and master.
+// WithMasterDialer replaces the master connection's dialer (netsim
+// partitions node and master with it).
 func WithMasterDialer(d DialFunc) MasterOption {
 	return func(c *masterConfig) { c.dial = d }
 }
 
-// WithMasterAddrs appends failover candidates to the address given to
-// DialMaster (which itself may be comma-separated, mirroring
-// ROS_MASTER_URI). The client rotates through the candidate list inside
-// its reconnect loop: a dead, fenced, or unpromoted-standby master
-// makes it move to the next address, replay its journal there, and
-// resync its watches — established data-plane flows are untouched.
+// WithMasterAddrs appends failover candidates to DialMaster's
+// comma-separated address list (as ROS_MASTER_URI).
 func WithMasterAddrs(addrs ...string) MasterOption {
 	return func(c *masterConfig) { c.extraAddrs = append(c.extraAddrs, addrs...) }
 }
 
-// WithMasterMetrics selects the registry recording this session's graph
-// instruments (reconnects, replays, resync latency, degraded gauge).
-// Default obs.Default(); pass nil to disable.
+// WithMasterMetrics selects the registry of the client's graph
+// instruments. Default obs.Default(); nil disables them.
 func WithMasterMetrics(r *obs.Registry) MasterOption {
-	return func(c *masterConfig) {
-		c.metrics = r
-		c.metricsSet = true
-	}
+	return func(c *masterConfig) { c.metrics = r }
 }
 
-// WithMasterHeartbeat sets the client ping interval (default 3s). Pings
-// keep the client alive past the server's liveness expiry and detect
-// silently dead connections; a ping that cannot complete within twice
-// the interval severs the connection and triggers reconnect. Negative
-// disables heartbeats (tests only — an idle client without heartbeats
-// is eventually expired by the server).
+// WithMasterHeartbeat sets the ping interval (default 3s; negative
+// disables it, for tests). An unanswered ping severs the connection.
 func WithMasterHeartbeat(d time.Duration) MasterOption {
 	return func(c *masterConfig) { c.heartbeat = d }
 }
 
-// WithMasterResyncGrace sets how long after a journal replay watch
-// pushes are diffed against the pre-outage publisher set before
-// removals are believed (default 3s; see defaultResyncGrace). Zero
-// disables the grace: post-replay pushes are delivered raw.
+// WithMasterResyncGrace sets how long after a replay watch pushes may
+// not remove publishers (default 3s); zero delivers them raw.
 func WithMasterResyncGrace(d time.Duration) MasterOption {
-	return func(c *masterConfig) {
-		c.resyncGrace = d
-		c.graceSet = true
-	}
+	return func(c *masterConfig) { c.resyncGrace = d }
 }
 
-// journalEntry is one unit of desired client state: a publisher or
-// service registration, or an active watch. The journal is the source
-// of truth for replay — serverHandle and gen say where (and whether)
-// the entry currently lives on the wire.
-type journalEntry struct {
-	handle int64  // client handle, stable across reconnects (journal key)
-	op     string // "regpub", "regsrv", "watch"
-	topic  string
-	pub    PublisherInfo // regpub
-	srv    ServiceInfo   // regsrv
-	typ    string        // watch
-	md5    string        // watch
-
-	// serverHandle is the handle the current session's master assigned;
-	// valid only while gen matches the live session's generation.
-	serverHandle int64
-	gen          int64
-
-	// Watch delivery state. routeSeq is assigned under RemoteMaster.mu
-	// when a push is routed to this entry; deliverMu serializes the
-	// callback and doneSeq drops stale (out-of-order) deliveries.
+// watchState is a client watch's delivery state. Pushes come from one
+// read loop at a time; mu orders them with the end of the grace.
+type watchState struct {
 	cb        func([]PublisherInfo)
-	routeSeq  uint64
-	deliverMu sync.Mutex
-	doneSeq   uint64
+	mu        sync.Mutex
 	delivered []PublisherInfo // last set handed to the callback
 	lastRaw   []PublisherInfo // last raw set received from the master
 	haveSets  bool            // delivered/lastRaw are meaningful
 	settling  bool            // within the post-replay resync grace
 }
 
-// deliver routes one publisher-set push (seq assigned under the master
-// mutex) through dedup and resync-grace filtering to the callback.
-func (e *journalEntry) deliver(seq uint64, pubs []PublisherInfo) {
-	e.deliverMu.Lock()
-	defer e.deliverMu.Unlock()
-	if seq <= e.doneSeq {
-		return // a newer push already delivered
-	}
-	e.doneSeq = seq
-	e.lastRaw = pubs
+// deliver hands one pushed publisher set to the callback, deduplicated
+// and, within the resync grace, unioned with the delivered one.
+func (w *watchState) deliver(pubs []PublisherInfo) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.lastRaw = pubs
 	eff := pubs
-	if e.settling && e.haveSets {
-		// Right after a replay other clients may not have replayed their
-		// own registrations yet; do not tear down established publishers
-		// on the strength of a momentarily shrunken snapshot. Additions
-		// apply immediately, removals wait for finishSettle.
-		eff = unionPubs(e.delivered, pubs)
+	if w.settling && w.haveSets {
+		eff = unionPubs(w.delivered, pubs)
 	}
-	if e.haveSets && pubsEqual(eff, e.delivered) {
-		return
+	if !w.haveSets || !pubsEqual(eff, w.delivered) {
+		w.delivered, w.haveSets = eff, true
+		w.cb(eff) // callback contract: must not block; mu serializes order
 	}
-	e.delivered = eff
-	e.haveSets = true
-	e.cb(eff) // callback contract: must not block; deliverMu serializes order
 }
 
-// finishSettle ends the post-replay grace: if the latest raw set still
-// differs from what was delivered (a publisher really did vanish), the
-// removal is now applied.
-func (e *journalEntry) finishSettle() {
-	e.deliverMu.Lock()
-	defer e.deliverMu.Unlock()
-	if !e.settling {
-		return
+// settle arms or ends the resync grace; ending it delivers the latest
+// raw set if the grace held a removal back.
+func (w *watchState) settle(on bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	was := w.settling
+	w.settling = on
+	if was && !on && w.haveSets && !pubsEqual(w.lastRaw, w.delivered) {
+		w.delivered = w.lastRaw
+		w.cb(w.lastRaw)
 	}
-	e.settling = false
-	if e.lastRaw == nil && !e.haveSets {
-		return
-	}
-	if e.haveSets && pubsEqual(e.lastRaw, e.delivered) {
-		return
-	}
-	e.delivered = e.lastRaw
-	e.haveSets = true
-	e.cb(e.lastRaw)
-}
-
-// beginSettle arms the resync grace for the next pushes.
-func (e *journalEntry) beginSettle() {
-	e.deliverMu.Lock()
-	e.settling = true
-	e.deliverMu.Unlock()
 }
 
 // pubsEqual compares publisher sets by exported identity.
 func pubsEqual(a, b []PublisherInfo) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].NodeName != b[i].NodeName || a[i].Addr != b[i].Addr ||
-			a[i].TypeName != b[i].TypeName || a[i].MD5 != b[i].MD5 {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y PublisherInfo) bool {
+		return x.NodeName == y.NodeName && x.Addr == y.Addr && x.TypeName == y.TypeName && x.MD5 == y.MD5
+	})
 }
 
 // unionPubs merges two publisher sets by identity, sorted like the
-// master's snapshots (NodeName, then Addr).
+// master's snapshots.
 func unionPubs(a, b []PublisherInfo) []PublisherInfo {
 	type key struct{ node, addr, typ, md5 string }
-	seen := make(map[key]struct{}, len(a)+len(b))
+	seen := make(map[key]bool, len(a)+len(b))
 	out := make([]PublisherInfo, 0, len(a)+len(b))
-	for _, set := range [2][]PublisherInfo{a, b} {
-		for _, p := range set {
-			k := key{p.NodeName, p.Addr, p.TypeName, p.MD5}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
+	for _, p := range slices.Concat(a, b) {
+		if k := (key{p.NodeName, p.Addr, p.TypeName, p.MD5}); !seen[k] {
+			seen[k] = true
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NodeName != out[j].NodeName {
-			return out[i].NodeName < out[j].NodeName
-		}
-		return out[i].Addr < out[j].Addr
-	})
+	sortPubs(out)
 	return out
 }
 
-// masterSession is one live connection to the master. Sessions are
-// replaced wholesale on reconnect; gen stamps which session a journal
-// entry's serverHandle belongs to.
+// masterSession is one connection to the master, replaced on reconnect.
 type masterSession struct {
-	gen  int64
 	addr string
 	conn net.Conn
-	enc  *json.Encoder
+	wmu  sync.Mutex // serializes request writes
+	line []byte     // the ping being written, under wmu
 
-	encMu sync.Mutex // serializes request writes
-
-	// replies and pending are guarded by RemoteMaster.mu. replies is
-	// set to nil when the session dies; callOn treats that as
-	// ErrMasterUnavailable. pending buffers the latest pubs push per
-	// server handle that arrived before the local callback registration
-	// (full snapshots: only the newest matters).
-	replies map[int64]chan masterMsg
-	pending map[int64][]PublisherInfo
+	// Guarded by RemoteMaster.mu. replies holds the calls in flight and
+	// is nil once the session is dead. landed is the session's replica
+	// of the client log: each entry registered here, with the master's
+	// handle, by which watches routes pushes.
+	replies map[int64]reply
+	landed  map[regKey]int64
+	watches map[int64]*regEntry
 
 	done chan struct{} // closed once the read loop has torn the session down
 }
 
-// RemoteMaster is the client side: a Master implementation backed by a
-// MasterServer elsewhere. It survives master restarts: a journal of
-// desired state is replayed against the reconnected master and server
-// handles are remapped transparently, so Advertise/Subscribe handles
-// created before a master crash keep working after it.
+// reply is a call in flight: where its answer goes and the entry it
+// makes. A watch's pushes are routed as its answer is read, before the
+// first push behind it.
+type reply struct {
+	ch chan masterMsg
+	e  *regEntry
+}
+
+// RemoteMaster is a Master backed by a MasterServer elsewhere. Its log
+// is replayed to each new session: handles outlive master crashes.
 type RemoteMaster struct {
 	addrs []string // failover candidates, in preference order
 	cfg   masterConfig
 	graph *obs.GraphStats
-
 	epoch atomic.Int64 // highest master epoch seen; echoed in every request
 
-	mu            sync.Mutex
-	addr          string // address of the current (or last) session
-	addrIdx       int    // next candidate to dial
-	lastInstalled string // address of the previous session (failover detection)
-	warnedCand    map[string]bool
-	sess          *masterSession // nil while degraded
-	nextGen       int64
-	nextID        int64
-	nextHandle    int64
-	journal       map[int64]*journalEntry
-	watchByServer map[int64]*journalEntry // current session's server handle → watch entry
-	degraded      bool
-	gaveUp        bool
-	closed        bool
+	mu         sync.Mutex
+	log        *regLog // the caller's registrations and watches, keyed by the handle it got
+	addr       string  // address of the current (or last) session
+	addrIdx    int     // next candidate to dial
+	warnedCand map[string]bool
+	sess       *masterSession // nil while degraded
+	nextID     int64
+	nextHandle int64
+	degraded   bool
+	gaveUp     bool
+	closed     bool
 
-	kickCh  chan struct{} // nudges the manager to replay stranded entries
+	kickCh  chan struct{} // nudges the manager to catch the session up
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 }
 
 var _ Master = (*RemoteMaster)(nil)
 
-// DialMaster connects to a master server. The address may list several
-// comma-separated failover candidates (and WithMasterAddrs appends
-// more); the first reachable one wins. The returned client owns a
-// background manager that keeps the session alive: on connection loss
-// it reconnects with bounded exponential backoff plus jitter — rotating
-// through the candidate list — and replays every registration and watch
-// in its journal against whichever master it lands on.
+// DialMaster connects to the first reachable of the comma-separated
+// candidates in addr. After a connection loss it redials them in turn,
+// with backoff, and replays its log to the master it lands on.
 func DialMaster(addr string, opts ...MasterOption) (*RemoteMaster, error) {
 	cfg := masterConfig{
 		retry:       DefaultRetryPolicy,
-		heartbeat:   defaultMasterHeartbeat,
+		dial:        func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+		metrics:     obs.Default(),
 		resyncGrace: defaultResyncGrace,
-		dial: func(addr string) (net.Conn, error) {
-			return net.Dial("tcp", addr)
-		},
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	cfg.retry = cfg.retry.withDefaults()
-	if !cfg.metricsSet {
-		cfg.metrics = obs.Default()
-	}
 	if cfg.heartbeat == 0 {
 		cfg.heartbeat = defaultMasterHeartbeat
 	}
-	if !cfg.graceSet {
-		cfg.resyncGrace = defaultResyncGrace
-	}
-	addrs := splitMasterAddrs(addr)
-	for _, extra := range cfg.extraAddrs {
-		addrs = append(addrs, splitMasterAddrs(extra)...)
-	}
+	addrs := splitMasterAddrs(strings.Join(append([]string{addr}, cfg.extraAddrs...), ","))
 	graph := cfg.metrics.Graph()
 	if graph == nil {
 		graph = new(obs.GraphStats)
 	}
-	m := &RemoteMaster{
-		addrs:         addrs,
-		cfg:           cfg,
-		graph:         graph,
-		warnedCand:    make(map[string]bool),
-		journal:       make(map[int64]*journalEntry),
-		watchByServer: make(map[int64]*journalEntry),
-		kickCh:        make(chan struct{}, 1),
-		closeCh:       make(chan struct{}),
-	}
-	var conn net.Conn
-	var err error
-	dialed := ""
-	for i, a := range addrs {
-		if conn, err = cfg.dial(a); err == nil {
-			m.mu.Lock()
-			m.addrIdx = i
-			m.mu.Unlock()
-			dialed = a
-			break
-		}
-		if i < len(addrs)-1 {
-			m.noteFailedCandidate(a, err.Error())
-		}
-	}
-	if conn == nil {
+	m := &RemoteMaster{addrs: addrs, cfg: cfg, graph: graph, log: newRegLog(0),
+		warnedCand: make(map[string]bool), kickCh: make(chan struct{}, 1), closeCh: make(chan struct{})}
+	if _, err := m.connect(false); err != nil {
 		return nil, fmt.Errorf("ros: dial master %s: %w", strings.Join(addrs, ","), err)
 	}
-	m.install(conn, dialed)
 	m.wg.Add(1)
 	go m.manage()
 	return m, nil
 }
 
-// noteFailedCandidate records one skipped failover candidate: the
-// counter always moves, the log fires once per candidate per client
-// (redial loops hit the same dead address many times per second), and
-// the rotation index advances so the next attempt tries a different
-// master.
+// connect installs the first candidate that answers, from the current
+// one on (nil, nil once closed); failures are noted but a first dial's
+// last, whose error is the caller's.
+func (m *RemoteMaster) connect(redial bool) (*masterSession, error) {
+	var err error
+	for i := range m.addrs {
+		m.mu.Lock()
+		addr := m.addrs[m.addrIdx]
+		m.mu.Unlock()
+		var conn net.Conn
+		if conn, err = m.cfg.dial(addr); err == nil {
+			sess := m.install(conn, addr)
+			if sess == nil {
+				conn.Close()
+			}
+			return sess, nil
+		}
+		if redial || i < len(m.addrs)-1 {
+			m.noteFailedCandidate(addr, err.Error())
+		}
+	}
+	return nil, err
+}
+
+// noteFailedCandidate counts a skipped candidate, logs it once per
+// client, and rotates to the next one.
 func (m *RemoteMaster) noteFailedCandidate(addr, reason string) {
 	m.graph.FailedCandidates.Inc()
 	m.mu.Lock()
 	warned := m.warnedCand[addr]
 	m.warnedCand[addr] = true
-	if len(m.addrs) > 0 && m.addrs[m.addrIdx] == addr {
+	if m.addrs[m.addrIdx] == addr {
 		m.addrIdx = (m.addrIdx + 1) % len(m.addrs)
 	}
 	m.mu.Unlock()
@@ -967,31 +774,21 @@ func (m *RemoteMaster) noteFailedCandidate(addr, reason string) {
 	}
 }
 
-// noteEpoch raises the highest-seen master epoch (echoed in every
-// subsequent request so stale masters can recognize themselves).
-func (m *RemoteMaster) noteEpoch(e int64) {
-	for {
-		cur := m.epoch.Load()
-		if e <= cur {
-			return
-		}
-		if m.epoch.CompareAndSwap(cur, e) {
-			m.graph.Epoch.SetMax(e)
-			return
+// setDegraded moves the client's share of the degraded gauge. Callers
+// hold m.mu.
+func (m *RemoteMaster) setDegraded(on bool) {
+	if m.degraded != on {
+		m.degraded = on
+		if on {
+			m.graph.Degraded.Add(1)
+		} else {
+			m.graph.Degraded.Add(-1)
 		}
 	}
 }
 
-// currentAddr returns the address of the current (or most recent)
-// session for log and error text.
-func (m *RemoteMaster) currentAddr() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.addr
-}
-
-// Close disconnects from the master and stops the reconnect manager.
-// Server-side registrations vanish with the connection.
+// Close disconnects from the master; its registrations go with the
+// connection.
 func (m *RemoteMaster) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -1000,10 +797,7 @@ func (m *RemoteMaster) Close() error {
 	}
 	m.closed = true
 	sess := m.sess
-	if m.degraded {
-		m.degraded = false
-		m.graph.Degraded.Add(-1)
-	}
+	m.setDegraded(false)
 	m.mu.Unlock()
 	close(m.closeCh)
 	var err error
@@ -1014,32 +808,19 @@ func (m *RemoteMaster) Close() error {
 	return err
 }
 
-// install makes conn (dialed at addr) the live session and starts its
-// read loop and heartbeat. Returns nil if the client closed meanwhile.
+// install makes conn the live session, or returns nil once closed.
 func (m *RemoteMaster) install(conn net.Conn, addr string) *masterSession {
+	sess := &masterSession{addr: addr, conn: conn, line: make([]byte, 0, 64),
+		replies: make(map[int64]reply), landed: make(map[regKey]int64),
+		watches: make(map[int64]*regEntry), done: make(chan struct{})}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil
 	}
-	m.nextGen++
-	sess := &masterSession{
-		gen:     m.nextGen,
-		addr:    addr,
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		replies: make(map[int64]chan masterMsg),
-		pending: make(map[int64][]PublisherInfo),
-		done:    make(chan struct{}),
-	}
-	m.sess = sess
-	m.addr = addr
-	failover := m.lastInstalled != "" && m.lastInstalled != addr
-	m.lastInstalled = addr
-	if m.degraded {
-		m.degraded = false
-		m.graph.Degraded.Add(-1)
-	}
+	failover := m.addr != "" && m.addr != addr
+	m.sess, m.addr = sess, addr
+	m.setDegraded(false)
 	m.mu.Unlock()
 	if failover {
 		m.graph.Failovers.Inc()
@@ -1054,129 +835,95 @@ func (m *RemoteMaster) install(conn net.Conn, addr string) *masterSession {
 	return sess
 }
 
-// sessionDown tears the session out of the client: pending calls fail
-// with ErrMasterUnavailable, watch routing is cleared, and the degraded
-// gauge rises. Only the session's own read loop calls it.
-func (m *RemoteMaster) sessionDown(sess *masterSession) {
+// readLoop demultiplexes one session's replies and pushes; whatever ends
+// it fails every call in flight, so none blocks forever.
+func (m *RemoteMaster) readLoop(sess *masterSession) {
+	defer m.wg.Done()
+	defer sess.conn.Close()
+	warned := false
+	sc := lineScanner(sess.conn, 1024*1024)
+	for sc.Scan() {
+		resp, err := decode(sc.Bytes(), "ok")
+		if err != nil {
+			malformed(m.graph, &warned, sess.addr, err)
+			continue
+		}
+		if resp.Epoch > m.epoch.Load() { // one read loop at a time writes it
+			m.epoch.Store(resp.Epoch)
+			m.graph.Epoch.SetMax(resp.Epoch)
+		}
+		m.mu.Lock()
+		if resp.Op != "pubs" {
+			r := sess.replies[resp.ID]
+			delete(sess.replies, resp.ID)
+			if resp.Op == "ok" && r.e != nil && r.e.watch != nil {
+				sess.watches[resp.Handle] = r.e
+			}
+			m.mu.Unlock()
+			if r.ch != nil {
+				r.ch <- resp
+			}
+			continue
+		}
+		// A watch unregistered while its replay was in flight keeps its
+		// route until the replay takes it back; it gets nothing.
+		e := sess.watches[resp.Handle]
+		if e != nil && e.key != (regKey{}) && m.log.get(e.key) == nil {
+			e = nil
+		}
+		m.mu.Unlock()
+		if e != nil {
+			e.watch.deliver(resp.Pubs)
+		}
+	}
+
 	m.mu.Lock()
 	if m.sess == sess {
 		m.sess = nil
-		m.watchByServer = make(map[int64]*journalEntry)
-		if !m.closed && !m.degraded {
-			m.degraded = true
-			m.graph.Degraded.Add(1)
-		}
+		m.setDegraded(!m.closed)
 	}
-	pending := sess.replies
+	replies := sess.replies
 	sess.replies = nil
-	sess.pending = nil
 	m.mu.Unlock()
-	for _, ch := range pending {
-		ch <- masterMsg{Op: opSessionDown} // cap-1 channels with one waiter each: never blocks
+	for _, r := range replies {
+		r.ch <- masterMsg{Op: opSessionDown} // cap-1 channels with one waiter each: never blocks
 	}
 	close(sess.done)
 }
 
-// readLoop demultiplexes one session's responses and pushes. On any
-// exit — EOF, a scanner error, an oversized line — it fails every
-// in-flight call with ErrMasterUnavailable (nothing blocks forever on a
-// reply channel) and signals the manager to reconnect.
-func (m *RemoteMaster) readLoop(sess *masterSession) {
-	defer m.wg.Done()
-	defer sess.conn.Close()
-	warnedMalformed := false
-	sc := bufio.NewScanner(sess.conn)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		var resp masterMsg
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			m.graph.MalformedLines.Inc()
-			if !warnedMalformed {
-				warnedMalformed = true
-				log.Printf("ros: remote master %s: malformed response line (counted, logged once per connection): %v",
-					sess.addr, err)
-			}
-			continue
-		}
-		if resp.Epoch > 0 {
-			m.noteEpoch(resp.Epoch)
-		}
-		switch resp.Op {
-		case "pubs":
-			pubs := make([]PublisherInfo, len(resp.Pubs))
-			for i, p := range resp.Pubs {
-				pubs[i] = PublisherInfo{NodeName: p.Node, Addr: p.Addr, TypeName: p.Type, MD5: p.MD5, Relay: p.Relay}
-			}
-			m.mu.Lock()
-			e := m.watchByServer[resp.Handle]
-			var seq uint64
-			if e != nil {
-				e.routeSeq++
-				seq = e.routeSeq
-			} else if sess.pending != nil {
-				// Watch acknowledged but callback not yet registered (or
-				// an unknown/stale handle): keep only the newest snapshot.
-				sess.pending[resp.Handle] = pubs
-			}
-			m.mu.Unlock()
-			if e != nil {
-				e.deliver(seq, pubs)
-			}
-		default:
-			m.mu.Lock()
-			var ch chan masterMsg
-			if sess.replies != nil {
-				ch = sess.replies[resp.ID]
-				delete(sess.replies, resp.ID)
-			}
-			m.mu.Unlock()
-			if ch != nil {
-				ch <- resp
-			}
-		}
-	}
-	m.sessionDown(sess)
-}
-
-// heartbeat pings the master at the configured interval. A ping that
-// cannot complete within twice the interval severs the connection; the
-// read loop then fails pending calls and the manager reconnects.
+// heartbeat pings every interval and severs a connection that takes two
+// to answer. One request, reply slot and timer serve every ping.
 func (m *RemoteMaster) heartbeat(sess *masterSession) {
 	defer m.wg.Done()
 	interval := m.cfg.heartbeat
-	t := time.NewTicker(interval)
-	defer t.Stop()
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	timeout := time.NewTimer(2 * interval)
+	defer timeout.Stop()
+	ping, pong := &masterMsg{Op: "ping"}, make(chan masterMsg, 1)
 	for {
 		select {
 		case <-m.closeCh:
 			return
 		case <-sess.done:
 			return
-		case <-t.C:
-			if _, err := m.callOn(sess, masterMsg{Op: "ping"}, 2*interval); err != nil {
-				sess.conn.Close()
-				return
-			}
+		case <-tick.C:
+		}
+		timeout.Reset(2 * interval)
+		if _, err := m.exchange(sess, ping, nil, pong, timeout.C, 2*interval); err != nil {
+			sess.conn.Close()
+			return
 		}
 	}
 }
 
-// kick nudges the manager to run a replay pass (used when a
-// registration lands on a session that died before it was journaled).
-func (m *RemoteMaster) kick() {
-	select {
-	case m.kickCh <- struct{}{}:
-	default:
-	}
-}
-
-// manage is the session manager: it redials after connection loss with
-// the configured backoff, replays the journal against each new session,
-// and arms the resync grace timer for watch deliveries.
+// manage redials after connection loss, catches each session up with
+// the log, and runs the resync grace.
 func (m *RemoteMaster) manage() {
 	defer m.wg.Done()
-	var settleC <-chan time.Time
-	var settleTimer *time.Timer
+	settle := time.NewTimer(time.Hour)
+	settle.Stop()
+	defer settle.Stop()
 	for {
 		m.mu.Lock()
 		closed, gaveUp, sess := m.closed, m.gaveUp, m.sess
@@ -1189,533 +936,296 @@ func (m *RemoteMaster) manage() {
 				continue // closed or gave up; top of loop exits
 			}
 		}
-		if m.needsReplay(sess) {
-			start := time.Now()
-			watches, ok := m.replay(sess)
-			if !ok {
-				// The session died mid-replay; wait for its read loop to
-				// finish teardown, then reconnect.
-				select {
-				case <-sess.done:
-				case <-m.closeCh:
-					return
-				}
-				continue
+		start := time.Now()
+		landed, watches, ok := m.catchUp(sess)
+		if !ok {
+			select { // died mid-replay: reconnect once torn down
+			case <-sess.done:
+			case <-m.closeCh:
+				return
 			}
+			continue
+		}
+		if landed > 0 {
 			m.graph.Replays.Inc()
 			m.graph.ResyncLatency.Observe(time.Since(start))
 			if watches > 0 && m.cfg.resyncGrace > 0 {
-				if settleTimer != nil {
-					settleTimer.Stop()
-				}
-				settleTimer = time.NewTimer(m.cfg.resyncGrace)
-				settleC = settleTimer.C
+				settle.Reset(m.cfg.resyncGrace)
 			}
 		}
 		select {
 		case <-m.closeCh:
-			if settleTimer != nil {
-				settleTimer.Stop()
-			}
 			return
 		case <-m.kickCh:
 		case <-sess.done:
-		case <-settleC:
-			settleC = nil
-			m.finishSettle()
+		case <-settle.C:
+			entries, _ := m.log.snapshot()
+			for _, e := range entries {
+				if e.watch != nil {
+					e.watch.settle(false)
+				}
+			}
 		}
 	}
 }
 
-// redial reconnects with the configured backoff, rotating through the
-// failover candidates: a failed dial skips to the next address (counted
-// and warn-once logged), so a dead primary costs one backoff step, not
-// forever. Returns nil when the client closes or the attempt budget is
-// exhausted (gave up: the session is permanently unavailable).
+// redial reconnects with the configured backoff, each attempt a round
+// over the candidates. It returns nil when the client closes or the
+// attempt budget runs out (gave up: the master is unavailable for good).
 func (m *RemoteMaster) redial() *masterSession {
 	p := m.cfg.retry
-	for attempt := 1; ; attempt++ {
-		if p.MaxAttempts > 0 && attempt > p.MaxAttempts {
-			m.mu.Lock()
-			m.gaveUp = true
-			m.mu.Unlock()
-			log.Printf("ros: remote master %s: giving up after %d reconnect attempts",
-				strings.Join(m.addrs, ","), p.MaxAttempts)
-			return nil
-		}
+	for attempt := 1; p.MaxAttempts <= 0 || attempt <= p.MaxAttempts; attempt++ {
 		select {
 		case <-m.closeCh:
 			return nil
 		case <-time.After(p.backoff(attempt)):
 		}
-		m.mu.Lock()
-		addr := m.addrs[m.addrIdx]
-		m.mu.Unlock()
-		conn, err := m.cfg.dial(addr)
-		if err != nil {
-			m.noteFailedCandidate(addr, err.Error())
-			continue
+		if sess, err := m.connect(true); err == nil {
+			if sess != nil {
+				m.graph.MasterReconnects.Inc()
+			}
+			return sess
 		}
-		sess := m.install(conn, addr)
-		if sess == nil {
-			conn.Close()
-			return nil
-		}
-		m.graph.MasterReconnects.Inc()
-		return sess
 	}
-}
-
-// needsReplay reports whether any journal entry has not been registered
-// on sess.
-func (m *RemoteMaster) needsReplay(sess *masterSession) bool {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range m.journal {
-		if e.gen != sess.gen {
-			return true
-		}
-	}
-	return false
-}
-
-// replay re-registers every journal entry not yet landed on sess,
-// remapping server handles. Registrations go before watches so resynced
-// snapshots are as complete as this client can make them. Returns the
-// number of watches replayed and false if the session died mid-replay.
-func (m *RemoteMaster) replay(sess *masterSession) (watches int, ok bool) {
-	m.mu.Lock()
-	handles := make([]int64, 0, len(m.journal))
-	for h := range m.journal {
-		handles = append(handles, h)
-	}
+	m.gaveUp = true
 	m.mu.Unlock()
-	sort.Slice(handles, func(i, j int) bool {
-		hi, hj := handles[i], handles[j]
-		m.mu.Lock()
-		ei, ej := m.journal[hi], m.journal[hj]
-		m.mu.Unlock()
-		wi := ei != nil && ei.op == "watch"
-		wj := ej != nil && ej.op == "watch"
-		if wi != wj {
-			return !wi // registrations first
+	log.Printf("ros: remote master %s: giving up after %d reconnect attempts", strings.Join(m.addrs, ","), p.MaxAttempts)
+	return nil
+}
+
+// catchUp registers on sess every entry of the log it has not landed
+// (all of them on a fresh session: the replay), watches last so their
+// snapshots hold this client's own publishers. It reports the entries
+// and watches landed, and false if the session died on the way.
+func (m *RemoteMaster) catchUp(sess *masterSession) (landed, watches int, ok bool) {
+	snap, _ := m.log.snapshot()
+	sort.Slice(snap, func(i, j int) bool {
+		if wi, wj := snap[i].watch != nil, snap[j].watch != nil; wi != wj {
+			return wj
 		}
-		return hi < hj
+		return snap[i].key.Handle < snap[j].key.Handle
 	})
-
-	for _, h := range handles {
+	for _, e := range snap {
 		m.mu.Lock()
-		e := m.journal[h]
-		if e == nil || e.gen == sess.gen {
-			m.mu.Unlock()
-			continue // unregistered meanwhile, or already landed
-		}
-		req := replayRequest(e)
+		_, done := sess.landed[e.key]
 		m.mu.Unlock()
-
-		resp, err := m.callOn(sess, req, masterCallTimeout)
-		if err != nil {
-			if errors.Is(err, ErrMasterUnavailable) {
-				return watches, false
-			}
-			m.mu.Lock()
-			closed := m.closed
-			m.mu.Unlock()
-			if closed {
-				// Close raced the replay: not a rejection, so keep the
-				// journal intact and stop quietly.
-				return watches, false
-			}
-			// The restarted master rejected a registration it once
-			// accepted (e.g. another client re-registered a conflicting
-			// type or took the service name first). The entry cannot be
-			// represented any more; drop it rather than wedging replay.
+		if done || m.log.get(e.key) == nil {
+			continue // landed by its own registration, or unregistered meanwhile
+		}
+		if e.watch != nil && m.cfg.resyncGrace > 0 {
+			e.watch.settle(true) // before the call: its first push may come first
+		}
+		resp, err := m.callOn(sess, e.request(), e)
+		if errors.Is(err, ErrMasterUnavailable) || errors.Is(err, errMasterClosed) {
+			return landed, watches, false // the log stays intact for the next session
+		} else if err != nil {
+			// The master rejects what it once accepted (another client took
+			// the service name or re-typed the topic): drop the entry.
 			log.Printf("ros: remote master %s: replay of %s %q rejected, dropping: %v",
-				sess.addr, e.op, e.topic, err)
-			m.mu.Lock()
-			delete(m.journal, h)
-			m.mu.Unlock()
+				sess.addr, e.kind, e.topic, err)
+			m.log.remove(e.key)
 			continue
 		}
-
 		m.mu.Lock()
-		if _, still := m.journal[h]; !still {
+		if m.log.get(e.key) == nil {
 			// Unregistered concurrently with the replay: take it back.
+			delete(sess.watches, resp.Handle)
 			m.mu.Unlock()
-			unreg := unregOp(e.op)
-			m.callOn(sess, masterMsg{Op: unreg, Handle: resp.Handle}, masterCallTimeout) //nolint:errcheck // best-effort
+			m.callOn(sess, masterMsg{Op: "un" + e.kind, Handle: resp.Handle}, nil) //nolint:errcheck // best-effort
 			continue
 		}
-		e.serverHandle = resp.Handle
-		e.gen = sess.gen
-		var seq uint64
-		var buffered []PublisherInfo
-		var haveBuffered bool
-		if e.op == "watch" {
-			watches++
-			m.watchByServer[resp.Handle] = e
-			if sess.pending != nil {
-				buffered, haveBuffered = sess.pending[resp.Handle]
-				delete(sess.pending, resp.Handle)
-			}
-			if haveBuffered {
-				e.routeSeq++
-				seq = e.routeSeq
-			}
-		}
+		sess.landed[e.key] = resp.Handle
 		m.mu.Unlock()
-		if e.op == "watch" {
-			e.beginSettle()
-			if haveBuffered {
-				e.deliver(seq, buffered)
-			}
+		landed++
+		if e.watch != nil {
+			watches++
 		}
 	}
-	return watches, true
+	return landed, watches, true
 }
 
-// finishSettle ends the resync grace on every watch.
-func (m *RemoteMaster) finishSettle() {
-	m.mu.Lock()
-	entries := make([]*journalEntry, 0, len(m.journal))
-	for _, e := range m.journal {
-		if e.op == "watch" {
-			entries = append(entries, e)
-		}
-	}
-	m.mu.Unlock()
-	for _, e := range entries {
-		e.finishSettle()
-	}
-}
-
-// replayRequest builds the wire request re-establishing entry e.
-func replayRequest(e *journalEntry) masterMsg {
-	switch e.op {
-	case "regpub":
-		return masterMsg{Op: "regpub", Topic: e.topic,
-			Node: e.pub.NodeName, Addr: e.pub.Addr, Type: e.pub.TypeName, MD5: e.pub.MD5,
-			Relay: e.pub.Relay}
-	case "regsrv":
-		return masterMsg{Op: "regsrv", Topic: e.topic,
-			Node: e.srv.NodeName, Addr: e.srv.Addr,
-			Type: e.srv.ReqType, Resp: e.srv.RespType, MD5: e.srv.MD5}
-	default: // watch
-		return masterMsg{Op: "watch", Topic: e.topic, Type: e.typ, MD5: e.md5}
-	}
-}
-
-// unregOp maps a registration op to its withdrawal op.
-func unregOp(op string) string {
-	switch op {
-	case "regpub":
-		return "unregpub"
-	case "regsrv":
-		return "unregsrv"
-	default:
-		return "unwatch"
-	}
-}
-
-// masterCallTimeout bounds one master request/response exchange; the
-// master is a lightweight local or same-site service, so an answer this
-// slow means the connection is effectively dead.
+// masterCallTimeout bounds one exchange; an answer this slow means the
+// connection is dead.
 const masterCallTimeout = 30 * time.Second
 
-// call performs one request/response exchange on the live session,
-// failing fast with ErrMasterUnavailable while degraded — a dead master
-// must never hang its callers.
-func (m *RemoteMaster) call(req masterMsg) (masterMsg, error) {
+// call performs one exchange on the live session and names it; while
+// degraded it fails fast with ErrMasterUnavailable.
+func (m *RemoteMaster) call(req masterMsg, e *regEntry) (masterMsg, *masterSession, error) {
 	m.mu.Lock()
-	closed, gaveUp, sess, addr := m.closed, m.gaveUp, m.sess, m.addr
-	m.mu.Unlock()
+	sess, err := m.sess, error(nil)
 	switch {
-	case closed:
-		return masterMsg{}, errors.New("ros: remote master closed")
-	case sess == nil && gaveUp:
-		return masterMsg{}, fmt.Errorf("%w: reconnect attempts to %s exhausted", ErrMasterUnavailable, addr)
+	case m.closed:
+		err = errMasterClosed
+	case sess == nil && m.gaveUp:
+		err = fmt.Errorf("%w: reconnect attempts to %s exhausted", ErrMasterUnavailable, m.addr)
 	case sess == nil:
-		return masterMsg{}, fmt.Errorf("%w: reconnecting to %s", ErrMasterUnavailable, addr)
+		err = fmt.Errorf("%w: reconnecting to %s", ErrMasterUnavailable, m.addr)
 	}
-	return m.callOn(sess, req, masterCallTimeout)
+	m.mu.Unlock()
+	if err != nil {
+		return masterMsg{}, nil, err
+	}
+	resp, err := m.callOn(sess, req, e)
+	return resp, sess, err
 }
 
-// callOn performs one request/response exchange on an explicit session
-// (replay and heartbeats target sessions that are not necessarily the
-// one public calls see). Write errors and timeouts sever the connection
-// so the read loop can fail everything else promptly.
-func (m *RemoteMaster) callOn(sess *masterSession, req masterMsg, timeout time.Duration) (masterMsg, error) {
+// callOn performs one exchange on sess; e is the entry the request
+// makes, if any.
+func (m *RemoteMaster) callOn(sess *masterSession, req masterMsg, e *regEntry) (masterMsg, error) {
+	t := time.NewTimer(masterCallTimeout)
+	defer t.Stop()
+	return m.exchange(sess, &req, e, make(chan masterMsg, 1), t.C, masterCallTimeout)
+}
+
+// exchange stamps req with a fresh id and the highest epoch seen, writes
+// it, and waits in ch for the reply, mapped to a typed error if it is
+// one. A write error or a timeout severs the connection.
+func (m *RemoteMaster) exchange(sess *masterSession, req *masterMsg, e *regEntry, ch chan masterMsg, timeout <-chan time.Time, d time.Duration) (masterMsg, error) {
 	m.mu.Lock()
-	if m.closed {
+	if closed, lost := m.closed, sess.replies == nil; closed || lost {
 		m.mu.Unlock()
-		return masterMsg{}, errors.New("ros: remote master closed")
-	}
-	if sess.replies == nil {
-		m.mu.Unlock()
+		if closed {
+			return masterMsg{}, errMasterClosed
+		}
 		return masterMsg{}, fmt.Errorf("%w: connection lost", ErrMasterUnavailable)
 	}
 	m.nextID++
-	req.ID = m.nextID
-	// Carry the highest epoch this client has seen: a master that fell
-	// behind a failover recognizes itself in this field and fences.
-	req.Epoch = m.epoch.Load()
-	ch := make(chan masterMsg, 1)
-	sess.replies[req.ID] = ch
+	req.ID, req.Epoch = m.nextID, m.epoch.Load()
+	sess.replies[req.ID] = reply{ch, e}
 	m.mu.Unlock()
 
-	sess.encMu.Lock()
-	sess.conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	err := sess.enc.Encode(req)
-	sess.conn.SetWriteDeadline(time.Time{})
-	sess.encMu.Unlock()
+	sess.wmu.Lock()
+	var err error
+	if req.Op == "ping" {
+		sess.line = appendShort(sess.line[:0], "ping", req.ID, req.Epoch)
+		err = writeRaw(sess.conn, sess.line)
+	} else {
+		err = writeLine(sess.conn, req)
+	}
+	sess.wmu.Unlock()
+	var resp masterMsg
+	if err == nil {
+		select {
+		case resp = <-ch:
+		case <-timeout:
+			err = fmt.Errorf("call timed out after %v", d)
+		}
+	}
 	if err != nil {
-		m.dropReply(sess, req.ID)
+		m.mu.Lock()
+		if sess.replies != nil {
+			delete(sess.replies, req.ID)
+		}
+		m.mu.Unlock()
 		sess.conn.Close()
 		return masterMsg{}, fmt.Errorf("%w: %v", ErrMasterUnavailable, err)
 	}
-
-	var resp masterMsg
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case resp = <-ch:
-	case <-timer.C:
-		m.dropReply(sess, req.ID)
-		// A timed-out call means the connection is wedged; sever it so
-		// the read loop fails the rest and the manager reconnects.
-		sess.conn.Close()
-		return masterMsg{}, fmt.Errorf("%w: call timed out after %v", ErrMasterUnavailable, timeout)
-	}
-	switch resp.Op {
-	case opSessionDown:
+	msg := cmp.Or(resp.Msg, "master error")
+	switch {
+	case resp.Op == opSessionDown:
 		return masterMsg{}, fmt.Errorf("%w: connection lost with call in flight", ErrMasterUnavailable)
-	case "err":
-		if resp.Msg == "" {
-			resp.Msg = "master error"
-		}
-		switch resp.Code {
-		case codeTypeMismatch:
-			// Preserve the type-mismatch category across the wire so
-			// callers can match it as with a LocalMaster.
-			return masterMsg{}, fmt.Errorf("%w: %s", ErrTypeMismatch, resp.Msg)
-		case codeStaleEpoch, codeStandby:
-			// This master cannot serve us — fenced zombie or unpromoted
-			// standby. Sever the session so the manager rotates to the
-			// next candidate, and wrap ErrMasterUnavailable so journal
-			// replay retries the entry there instead of dropping it.
-			m.noteFailedCandidate(sess.addr, resp.Code+": "+resp.Msg)
-			sess.conn.Close()
-			return masterMsg{}, fmt.Errorf("%w: master %s rejected call (%s)",
-				ErrMasterUnavailable, sess.addr, resp.Code)
-		}
-		return masterMsg{}, fmt.Errorf("ros: master: %s", resp.Msg)
+	case resp.Op != "err":
+		return resp, nil
+	case resp.Code == codeTypeMismatch:
+		return masterMsg{}, fmt.Errorf("%w: %s", ErrTypeMismatch, msg)
+	case resp.Code == codeStaleEpoch || resp.Code == codeStandby:
+		// A fenced or standby master: move to the next candidate, where a
+		// replay retries the entry.
+		m.noteFailedCandidate(sess.addr, resp.Code+": "+msg)
+		sess.conn.Close()
+		return masterMsg{}, fmt.Errorf("%w: master %s rejected call (%s)", ErrMasterUnavailable, sess.addr, resp.Code)
 	}
-	return resp, nil
+	return masterMsg{}, fmt.Errorf("ros: master: %s", msg)
 }
 
-// dropReply removes a reply registration (abandoned call).
-func (m *RemoteMaster) dropReply(sess *masterSession, id int64) {
-	m.mu.Lock()
-	if sess.replies != nil {
-		delete(sess.replies, id)
+// register makes e on the live session and logs it, so every later
+// session gets it too, until the returned func unregisters it. A
+// watch's first push may reach its callback before register returns.
+func (m *RemoteMaster) register(e *regEntry) (func(), error) {
+	resp, sess, err := m.call(e.request(), e)
+	if err != nil {
+		return nil, err
 	}
-	m.mu.Unlock()
-}
-
-// liveSession returns the current session, or a typed error while
-// degraded/closed.
-func (m *RemoteMaster) liveSession() (*masterSession, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch {
-	case m.closed:
-		return nil, errors.New("ros: remote master closed")
-	case m.sess == nil && m.gaveUp:
-		return nil, fmt.Errorf("%w: reconnect attempts to %s exhausted", ErrMasterUnavailable, m.addr)
-	case m.sess == nil:
-		return nil, fmt.Errorf("%w: reconnecting to %s", ErrMasterUnavailable, m.addr)
-	}
-	return m.sess, nil
-}
-
-// journalize records a successful registration in the journal under a
-// fresh client handle. If the session died between the reply and the
-// journaling, the entry is marked unlanded and the manager is kicked to
-// replay it on the next session.
-func (m *RemoteMaster) journalize(e *journalEntry, sess *masterSession) int64 {
-	m.mu.Lock()
 	m.nextHandle++
-	h := m.nextHandle
-	e.handle = h
-	m.journal[h] = e
-	stranded := m.sess != sess
-	if stranded {
-		e.gen = 0 // serverHandle belongs to a dead session; force replay
-	} else if e.op == "watch" {
-		m.watchByServer[e.serverHandle] = e
+	e.key = regKey{Handle: m.nextHandle}
+	m.log.add(e)
+	if m.sess == sess {
+		sess.landed[e.key] = resp.Handle
+	} else {
+		select { // the session died with it: make the manager land it again
+		case m.kickCh <- struct{}{}:
+		default:
+		}
 	}
-	m.mu.Unlock()
-	if stranded {
-		m.kick()
-	}
-	return h
+	return func() { m.unregister(e.key) }, nil
 }
 
-// unregister removes a journal entry and best-effort withdraws it from
-// the live session. While degraded there is nothing to withdraw — the
-// master forgot the registration with the connection — so removal from
-// the journal (preventing replay resurrection) is the whole job.
-func (m *RemoteMaster) unregister(h int64) {
+// unregister drops k from the log, so no replay resurrects it, and
+// withdraws it from the live session where it landed.
+func (m *RemoteMaster) unregister(k regKey) {
 	m.mu.Lock()
-	e := m.journal[h]
-	if e == nil {
-		m.mu.Unlock()
-		return
-	}
-	delete(m.journal, h)
-	var sess *masterSession
-	var serverHandle int64
-	if m.sess != nil && e.gen == m.sess.gen {
-		sess, serverHandle = m.sess, e.serverHandle
-		if e.op == "watch" {
-			delete(m.watchByServer, serverHandle)
+	e, sess := m.log.remove(k), m.sess
+	var h int64
+	landed := false
+	if e != nil && sess != nil {
+		if h, landed = sess.landed[k]; landed {
+			delete(sess.landed, k)
+			delete(sess.watches, h)
 		}
 	}
 	m.mu.Unlock()
-	if sess != nil {
-		m.callOn(sess, masterMsg{Op: unregOp(e.op), Handle: serverHandle}, masterCallTimeout) //nolint:errcheck // best-effort on teardown
+	if landed {
+		m.callOn(sess, masterMsg{Op: "un" + e.kind, Handle: h}, nil) //nolint:errcheck // best-effort on teardown
 	}
 }
 
-// RegisterPublisher implements Master. The registration is journaled:
-// it survives master restarts until the returned unregister func runs.
+// RegisterPublisher implements Master; the registration survives master
+// restarts until unregistered.
 func (m *RemoteMaster) RegisterPublisher(topic string, info PublisherInfo) (func(), error) {
-	sess, err := m.liveSession()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.callOn(sess, masterMsg{
-		Op: "regpub", Topic: topic,
-		Node: info.NodeName, Addr: info.Addr, Type: info.TypeName, MD5: info.MD5,
-		Relay: info.Relay,
-	}, masterCallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	e := &journalEntry{op: "regpub", topic: topic, pub: info,
-		serverHandle: resp.Handle, gen: sess.gen}
-	h := m.journalize(e, sess)
-	return func() { m.unregister(h) }, nil
+	return m.register(&regEntry{kind: "regpub", topic: topic, pub: info})
 }
 
-// RegisterService implements Master. Journaled like RegisterPublisher.
+// RegisterService implements Master, like RegisterPublisher.
 func (m *RemoteMaster) RegisterService(name string, info ServiceInfo) (func(), error) {
-	sess, err := m.liveSession()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.callOn(sess, masterMsg{
-		Op: "regsrv", Topic: name,
-		Node: info.NodeName, Addr: info.Addr,
-		Type: info.ReqType, Resp: info.RespType, MD5: info.MD5,
-	}, masterCallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	e := &journalEntry{op: "regsrv", topic: name, srv: info,
-		serverHandle: resp.Handle, gen: sess.gen}
-	h := m.journalize(e, sess)
-	return func() { m.unregister(h) }, nil
+	return m.register(&regEntry{kind: "regsrv", topic: name, srv: info})
+}
+
+// WatchPublishers implements Master; the watch survives master restarts
+// without tearing down unchanged publishers (WithMasterResyncGrace).
+func (m *RemoteMaster) WatchPublishers(topic, typeName, md5 string, cb func([]PublisherInfo)) (func(), error) {
+	return m.register(&regEntry{kind: "watch", topic: topic,
+		pub: PublisherInfo{TypeName: typeName, MD5: md5}, watch: &watchState{cb: cb}})
 }
 
 // LookupService implements Master.
 func (m *RemoteMaster) LookupService(name string) (ServiceInfo, bool, error) {
-	resp, err := m.call(masterMsg{Op: "lookupsrv", Topic: name})
-	if err != nil {
+	resp, _, err := m.call(masterMsg{Op: "lookupsrv", Topic: name}, nil)
+	if err != nil || !resp.Found {
 		return ServiceInfo{}, false, err
 	}
-	if !resp.Found {
-		return ServiceInfo{}, false, nil
-	}
-	return ServiceInfo{
-		NodeName: resp.Node, Addr: resp.Addr,
-		ReqType: resp.Type, RespType: resp.Resp, MD5: resp.MD5,
-	}, true, nil
+	return ServiceInfo{NodeName: resp.Node, Addr: resp.Addr, ReqType: resp.Type, RespType: resp.Resp, MD5: resp.MD5}, true, nil
 }
 
-// TopicsInfo queries the server's topic table (for introspection
-// tools).
+// TopicsInfo queries the server's topic table.
 func (m *RemoteMaster) TopicsInfo() ([]TopicInfo, error) {
-	resp, err := m.call(masterMsg{Op: "topics"})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TopicInfo, len(resp.Topics))
-	for i, ti := range resp.Topics {
-		out[i] = TopicInfo{Name: ti.Name, TypeName: ti.Type, MD5: ti.MD5, NumPublishers: ti.Pubs}
-	}
-	return out, nil
+	resp, _, err := m.call(masterMsg{Op: "topics"}, nil)
+	return resp.Topics, err
 }
 
-// WatchPublishers implements Master. The watch is journaled: after a
-// master restart it is re-established and the fresh snapshot is diffed
-// against the pre-outage set (see WithMasterResyncGrace), so unchanged
-// publishers are not torn down and redialed.
-func (m *RemoteMaster) WatchPublishers(topic, typeName, md5 string, cb func([]PublisherInfo)) (func(), error) {
-	sess, err := m.liveSession()
-	if err != nil {
-		return nil, err
-	}
-	// The server sends "ok" before the first push on this connection and
-	// the read loop preserves that order; a push racing the local
-	// registration below lands in sess.pending and is drained here.
-	resp, err := m.callOn(sess, masterMsg{Op: "watch", Topic: topic, Type: typeName, MD5: md5}, masterCallTimeout)
-	if err != nil {
-		return nil, err
-	}
-	e := &journalEntry{op: "watch", topic: topic, typ: typeName, md5: md5,
-		cb: cb, serverHandle: resp.Handle, gen: sess.gen}
-	h := m.journalize(e, sess)
-
-	m.mu.Lock()
-	var seq uint64
-	var buffered []PublisherInfo
-	var haveBuffered bool
-	if sess.pending != nil {
-		buffered, haveBuffered = sess.pending[resp.Handle]
-		delete(sess.pending, resp.Handle)
-	}
-	if haveBuffered {
-		e.routeSeq++
-		seq = e.routeSeq
-	}
-	m.mu.Unlock()
-	if haveBuffered {
-		e.deliver(seq, buffered)
-	}
-	return func() { m.unregister(h) }, nil
-}
-
-// DialMasterWithTimeout dials the master, retrying refused or failed
-// connections with the default backoff schedule until timeout elapses
-// (0 or negative: a single attempt, like DialMaster). CLI tools use it
-// so `rostopic` started a moment before `rosmaster` does not exit on
-// the first refused connection.
+// DialMasterWithTimeout retries DialMaster with the default backoff until
+// timeout elapses (≤0: once), so a CLI tool started just before
+// rosmaster does not give up on the first refused connection.
 func DialMasterWithTimeout(addr string, timeout time.Duration, opts ...MasterOption) (*RemoteMaster, error) {
 	deadline := time.Now().Add(timeout)
 	p := DefaultRetryPolicy.withDefaults()
 	for attempt := 1; ; attempt++ {
 		m, err := DialMaster(addr, opts...)
-		if err == nil {
-			return m, nil
+		if err == nil || timeout <= 0 || !time.Now().Before(deadline) {
+			return m, err
 		}
-		if timeout <= 0 || !time.Now().Before(deadline) {
-			return nil, err
-		}
-		d := p.backoff(attempt)
-		if remaining := time.Until(deadline); d > remaining {
-			d = remaining
-		}
-		time.Sleep(d)
+		time.Sleep(min(p.backoff(attempt), time.Until(deadline)))
 	}
 }

@@ -366,6 +366,13 @@ func TestRemoteMasterRestartReplay(t *testing.T) {
 	eventually(t, "degraded mode exited", func() bool {
 		return reg.Snapshot().Graph.Degraded == 0
 	})
+	// The master shows each replayed registration as soon as it lands,
+	// before the client has finished its replay and counted it: wait on
+	// the client's own instruments, not on the master's state.
+	eventually(t, "replay counted by the client", func() bool {
+		g := reg.Snapshot().Graph
+		return g.Replays >= 1 && g.Resync.Count >= 1
+	})
 	eventually(t, "journal replayed", func() bool {
 		infos, err := m.TopicsInfo()
 		if err != nil {

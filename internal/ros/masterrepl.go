@@ -1,417 +1,140 @@
 package ros
 
-// Warm-standby master replication (DESIGN §3.14).
-//
-// A MasterServer can run as a standby: `rosmaster -standby primaryAddr`
-// connects to the primary as a follower, receives a full-state snapshot
-// of the registration table, then applies the authoritative op log
-// (register/unregister publisher+service, including unregistrations
-// produced by client-expiry sweeps) with strictly increasing sequence
-// numbers. The standby serves reads (watch, topics, lookupsrv) from its
-// replica but rejects writes with err:standby until promotion.
-//
-// Promotion is lease-based and epoch-fenced. The pair carries a
-// monotonically increasing epoch, communicated in the replication
-// handshake and stamped on every response. The standby promotes itself
-// only after the primary's lease expires — no replication traffic (ops
-// or heartbeats) for longer than the lease window. On promotion it
-// bumps the epoch and inherits the replicated registrations: each stays
-// visible to watchers for one client-expiry window, during which the
-// owning client's journal replay ADOPTS it in place (same wire identity
-// → same entry, no watcher churn); whatever is not adopted expires.
-//
-// Fencing: clients carry the highest epoch they have seen in every
-// request, and the promoted standby probes the old primary's address
-// with its new epoch. Any server that learns of a higher epoch than its
-// own fences itself — every subsequent request is answered with
-// err:stale_epoch — so a zombie primary can never accept a write after
-// a failover, no matter which side of a healed partition it lands on.
+// Warm-standby master replication (DESIGN §3.14). A standby follows the
+// primary's registration log (reglog.go) and serves reads from its copy.
+// Once the primary's lease expires it promotes itself at the next epoch,
+// keeps its log as the primary's, and lets the owners' replays adopt
+// the entries in place for one client-expiry window. A server that sees
+// a higher epoch than its own fences itself for good.
 
 import (
 	"bufio"
-	"encoding/json"
 	"log"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
-// defaultPrimaryLease is the replication lease window: a standby that
-// hears nothing from its primary (no op, no heartbeat) for this long
-// self-promotes. The primary heartbeats its followers at lease/3, so
-// three consecutive losses are needed before a failover.
+// defaultPrimaryLease is how long a standby hears nothing from its
+// primary before it promotes; the primary's heartbeat is lease/3.
 const defaultPrimaryLease = 5 * time.Second
 
-// replSnapshotEvery is how many ops a follower receives between
-// periodic full-state snapshots. The handshake snapshot makes late
-// joiners correct; the periodic ones bound the damage of any
-// undiscovered divergence (the follower applies snapshots as diffs, so
-// a clean replica sees no watcher churn).
-const replSnapshotEvery = 8192
-
-// replScanBuffer bounds one replication line. Snapshots carry the whole
-// registration table in one line, so this is far larger than the
-// request-path cap (a 100k-entry graph is on the order of 20 MB).
+// replScanBuffer bounds one replication line. A snapshot carries the
+// whole table in one line (a 100k-entry graph is some 20 MB).
 const replScanBuffer = 256 * 1024 * 1024
 
-// replKey is the cluster-wide identity of one replicated registration:
-// the owner id of the client connection that made it (epoch-scoped, so
-// ids minted by different primaries never collide) and the server
-// handle on that connection.
-type replKey struct {
-	Owner  int64
-	Handle int64
-}
-
-// replReg is the wire shape of one replicated registration inside a
-// snapshot.
-type replReg struct {
-	Owner  int64  `json:"owner"`
-	Handle int64  `json:"handle"`
-	Topic  string `json:"topic"`
-	Node   string `json:"node,omitempty"`
-	Addr   string `json:"addr,omitempty"`
-	Type   string `json:"type,omitempty"`
-	Resp   string `json:"resp,omitempty"`
-	MD5    string `json:"md5,omitempty"`
-	Relay  bool   `json:"relay,omitempty"`
-
-	kind string // "pub" | "srv"; set locally, never crosses the wire
-}
-
-// regEntry is one replicated registration in the authoritative table:
-// a publisher or a service, its wire identity, and the cancel that
-// removes it from the serving LocalMaster.
-type regEntry struct {
-	key    replKey
-	kind   string // "pub" | "srv"
-	topic  string // topic or service name
-	pub    PublisherInfo
-	srv    ServiceInfo
-	cancel func()
-	// inherited marks an entry carried over a promotion: it belongs to a
-	// client of the dead primary and survives one client-expiry window
-	// for that client's replay to adopt it.
-	inherited bool
-}
-
-// adoptKey matches a replayed registration to an inherited entry by
-// full wire identity.
+// adoptKey matches a replayed registration to an inherited entry by its
+// full wire identity, owner and handle aside.
 type adoptKey struct {
-	kind  string
-	topic string
-	node  string
-	addr  string
-	typ   string
-	resp  string
-	md5   string
-	relay bool
+	kind string
+	replReg
 }
 
 func (e *regEntry) adoptionKey() adoptKey {
-	if e.kind == "srv" {
-		return adoptKey{kind: "srv", topic: e.topic, node: e.srv.NodeName, addr: e.srv.Addr,
-			typ: e.srv.ReqType, resp: e.srv.RespType, md5: e.srv.MD5}
+	k := adoptKey{kind: e.kind, replReg: e.wire()}
+	k.Owner, k.Handle = 0, 0
+	return k
+}
+
+// register serves one registration and logs it, which feeds it to the
+// standby — or, within a promotion's adoption window, adopts the
+// matching inherited entry as is: no op, no watcher notified. The
+// returned func withdraws it.
+func (s *MasterServer) register(e *regEntry) (func(), error) {
+	s.inheritMu.Lock()
+	if a := s.inherited[e.adoptionKey()]; a != nil {
+		delete(s.inherited, e.adoptionKey())
+		e = a
 	}
-	return adoptKey{kind: "pub", topic: e.topic, node: e.pub.NodeName, addr: e.pub.Addr,
-		typ: e.pub.TypeName, md5: e.pub.MD5, relay: e.pub.Relay}
-}
-
-// replFollower is one standby connection being fed the op log.
-type replFollower struct {
-	out   chan masterMsg
-	once  sync.Once
-	done  chan struct{}
-	sever func() // closes the follower's conn (slow-consumer eviction)
-}
-
-func (f *replFollower) close() {
-	f.once.Do(func() {
-		close(f.done)
-		if f.sever != nil {
-			f.sever()
+	s.inheritMu.Unlock()
+	if e.cancel == nil {
+		if err := s.serve(e); err != nil {
+			return nil, err
 		}
-	})
-}
-
-// replHub is the primary-side replication state: the authoritative
-// registration table, the op sequence, and the follower set. Everything
-// mutates under mu so a follower's handshake snapshot and its
-// subsequent op stream form one consistent cut.
-type replHub struct {
-	mu           sync.Mutex
-	seq          uint64
-	table        map[replKey]*regEntry
-	followers    map[*replFollower]struct{}
-	opsSinceSnap int
-	// inherited indexes not-yet-adopted post-promotion entries by wire
-	// identity; nil outside the adoption window.
-	inherited map[adoptKey]*regEntry
-}
-
-// replOpMsg builds the repl_op wire message for one table mutation.
-func replOpMsg(kind string, e *regEntry, seq uint64) masterMsg {
-	m := masterMsg{Op: "repl_op", Seq: seq, Kind: kind, Owner: e.key.Owner, Handle: e.key.Handle}
-	switch kind {
-	case "regpub":
-		m.Topic, m.Node, m.Addr, m.Type, m.MD5, m.Relay =
-			e.topic, e.pub.NodeName, e.pub.Addr, e.pub.TypeName, e.pub.MD5, e.pub.Relay
-	case "regsrv":
-		m.Topic, m.Node, m.Addr, m.Type, m.Resp, m.MD5 =
-			e.topic, e.srv.NodeName, e.srv.Addr, e.srv.ReqType, e.srv.RespType, e.srv.MD5
+		s.log.add(e)
 	}
-	return m
+	return func() { s.unregisterEntry(e) }, nil
 }
 
-// snapshotLocked builds the repl_snap message for the current table.
-// Callers hold repl.mu.
-func (s *MasterServer) snapshotLocked() masterMsg {
-	m := masterMsg{Op: "repl_snap", Epoch: s.epoch.Load(), Seq: s.repl.seq}
-	for _, e := range s.repl.table {
-		r := replReg{Owner: e.key.Owner, Handle: e.key.Handle, Topic: e.topic}
-		if e.kind == "srv" {
-			r.Node, r.Addr, r.Type, r.Resp, r.MD5 =
-				e.srv.NodeName, e.srv.Addr, e.srv.ReqType, e.srv.RespType, e.srv.MD5
-			m.RSrvs = append(m.RSrvs, r)
-		} else {
-			r.Node, r.Addr, r.Type, r.MD5, r.Relay =
-				e.pub.NodeName, e.pub.Addr, e.pub.TypeName, e.pub.MD5, e.pub.Relay
-			m.RPubs = append(m.RPubs, r)
-		}
+// serve registers e on the LocalMaster.
+func (s *MasterServer) serve(e *regEntry) (err error) {
+	if e.kind == "regsrv" {
+		e.cancel, err = s.master.RegisterService(e.topic, e.srv)
+	} else {
+		e.cancel, err = s.master.RegisterPublisher(e.topic, e.pub)
 	}
-	return m
+	return err
 }
 
-// broadcastLocked fans one message to every follower. A follower whose
-// queue is full is severed — it reconnects and resyncs from a fresh
-// snapshot, which is strictly safer than silently skipping ops.
-// Callers hold repl.mu.
-func (s *MasterServer) broadcastLocked(m masterMsg) {
-	for f := range s.repl.followers {
-		select {
-		case f.out <- m:
-		default:
-			delete(s.repl.followers, f)
-			log.Printf("ros: master: replication follower too slow (queue full), severing for resync")
-			f.close()
-		}
-	}
-}
-
-// emitLocked appends one op to the log and fans it out, inserting a
-// periodic full snapshot. Callers hold repl.mu.
-func (s *MasterServer) emitLocked(kind string, e *regEntry) {
-	s.repl.seq++
-	if len(s.repl.followers) == 0 {
-		s.repl.opsSinceSnap = 0
-		return // seq still advances: a late standby starts from a meaningful cut
-	}
-	s.broadcastLocked(replOpMsg(kind, e, s.repl.seq))
-	s.repl.opsSinceSnap++
-	if s.repl.opsSinceSnap >= replSnapshotEvery {
-		s.repl.opsSinceSnap = 0
-		s.broadcastLocked(s.snapshotLocked())
-	}
-}
-
-// trackRegistration records a just-accepted registration in the
-// replication table, emits its op, and returns the unregister closure
-// that undoes both the table entry and the LocalMaster registration.
-func (s *MasterServer) trackRegistration(e *regEntry) func() {
-	s.repl.mu.Lock()
-	s.repl.table[e.key] = e
-	s.emitLocked("reg"+e.kind, e)
-	s.repl.mu.Unlock()
-	return func() { s.unregisterEntry(e) }
-}
-
-// unregisterEntry removes one entry from the table (idempotently),
-// emits the unregister op, and cancels the LocalMaster registration.
+// unregisterEntry removes e from the log (idempotently) and from the
+// LocalMaster.
 func (s *MasterServer) unregisterEntry(e *regEntry) {
-	s.repl.mu.Lock()
-	if _, live := s.repl.table[e.key]; !live {
-		s.repl.mu.Unlock()
+	if s.log.remove(e.key) == nil {
 		return
 	}
-	delete(s.repl.table, e.key)
-	if e.inherited && s.repl.inherited != nil {
-		delete(s.repl.inherited, e.adoptionKey())
+	s.inheritMu.Lock()
+	if k := e.adoptionKey(); s.inherited[k] == e {
+		delete(s.inherited, k)
 	}
-	s.emitLocked("unreg"+e.kind, e)
-	s.repl.mu.Unlock()
+	s.inheritMu.Unlock()
 	e.cancel()
 }
 
-// nextOwner mints an epoch-scoped owner id for one client connection.
-// Owners minted by different primaries (different epochs) can never
-// collide, so inherited entries and post-failover registrations stay
-// distinguishable.
+// nextOwner mints an epoch-scoped owner id for one client connection:
+// owners minted by different primaries never collide.
 func (s *MasterServer) nextOwner() int64 {
 	return s.epoch.Load()<<32 | s.ownerSeq.Add(1)
 }
 
-// registerPub is the write path for one publisher registration: adopt a
-// matching inherited entry if the promotion window is open, otherwise
-// register on the LocalMaster and replicate.
-func (s *MasterServer) registerPub(owner, handle int64, topic string, info PublisherInfo) (func(), error) {
-	e := &regEntry{key: replKey{owner, handle}, kind: "pub", topic: topic, pub: info}
-	if cancel, ok := s.adopt(e.adoptionKey()); ok {
-		return cancel, nil
-	}
-	cancel, err := s.master.RegisterPublisher(topic, info)
-	if err != nil {
-		return nil, err
-	}
-	e.cancel = cancel
-	return s.trackRegistration(e), nil
-}
-
-// registerSrv is the service twin of registerPub.
-func (s *MasterServer) registerSrv(owner, handle int64, name string, info ServiceInfo) (func(), error) {
-	e := &regEntry{key: replKey{owner, handle}, kind: "srv", topic: name, srv: info}
-	if cancel, ok := s.adopt(e.adoptionKey()); ok {
-		return cancel, nil
-	}
-	cancel, err := s.master.RegisterService(name, info)
-	if err != nil {
-		return nil, err
-	}
-	e.cancel = cancel
-	return s.trackRegistration(e), nil
-}
-
-// adopt matches a registration against the inherited index. On a hit
-// the inherited entry transfers to the caller in place: it keeps its
-// replicated identity (no op emitted, no watcher notification — the
-// graph is unchanged) and the caller's unregister now owns it.
-func (s *MasterServer) adopt(k adoptKey) (func(), bool) {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	if s.repl.inherited == nil {
-		return nil, false
-	}
-	e, ok := s.repl.inherited[k]
-	if !ok {
-		return nil, false
-	}
-	delete(s.repl.inherited, k)
-	e.inherited = false
-	return func() { s.unregisterEntry(e) }, true
-}
-
 // fence marks this server stale: a higher epoch exists somewhere, so
-// accepting any further operation could split the brain. Every
-// subsequent request is answered err:stale_epoch and all followers are
-// severed (they must find the real primary or time out their lease).
+// any further operation could split the brain. Every later request is
+// answered err:stale_epoch and the standby feed is cut.
 func (s *MasterServer) fence(seenEpoch int64) {
 	if s.fenced.Swap(true) {
 		return
 	}
+	close(s.fencedCh)
 	s.graph.Epoch.SetMax(seenEpoch)
 	log.Printf("ros: master %s: fenced — epoch %d observed, own epoch %d is stale; rejecting all requests",
 		s.Addr(), seenEpoch, s.epoch.Load())
-	s.repl.mu.Lock()
-	for f := range s.repl.followers {
-		delete(s.repl.followers, f)
-		f.close()
-	}
-	s.repl.mu.Unlock()
 }
 
 // Epoch returns the server's current epoch.
 func (s *MasterServer) Epoch() int64 { return s.epoch.Load() }
 
-// IsPrimary reports whether the server currently accepts writes (a
-// booted primary, or a standby after promotion; a fenced server does
-// not).
+// IsPrimary reports whether the server accepts writes: a primary or a
+// promoted standby that has not fenced itself.
 func (s *MasterServer) IsPrimary() bool { return s.primary.Load() && !s.fenced.Load() }
 
 // Fenced reports whether the server has fenced itself after observing
 // a higher epoch.
 func (s *MasterServer) Fenced() bool { return s.fenced.Load() }
 
-// addFollower registers one follower connection: its handshake snapshot
-// and op stream form a consistent cut under repl.mu, and a writer
-// goroutine owns its outbound queue plus the lease heartbeat.
-func (s *MasterServer) addFollower(sever func(), send func(masterMsg)) *replFollower {
-	f := &replFollower{out: make(chan masterMsg, 1024), done: make(chan struct{}), sever: sever}
-	s.repl.mu.Lock()
-	snap := s.snapshotLocked()
-	s.repl.followers[f] = struct{}{}
-	s.repl.mu.Unlock()
-	hb := s.lease / 3
-	if hb < 10*time.Millisecond {
-		hb = 10 * time.Millisecond
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		send(snap)
-		t := time.NewTicker(hb)
-		defer t.Stop()
-		for {
-			select {
-			case <-f.done:
-				return
-			case m := <-f.out:
-				send(m)
-			case <-t.C:
-				s.repl.mu.Lock()
-				seq := s.repl.seq
-				s.repl.mu.Unlock()
-				send(masterMsg{Op: "repl_hb", Seq: seq})
-			}
-		}
-	}()
-	return f
-}
-
-// removeFollower detaches a follower whose connection ended.
-func (s *MasterServer) removeFollower(f *replFollower) {
-	s.repl.mu.Lock()
-	delete(s.repl.followers, f)
-	s.repl.mu.Unlock()
-	f.close()
-}
+// beat is the replication heartbeat, both ways: the primary's repl_hb
+// and the standby's repl_ping.
+func (s *MasterServer) beat() time.Duration { return max(s.lease/3, 10*time.Millisecond) }
 
 // follow is the standby's life: keep a replication feed alive against
-// the configured primary, and when the primary's lease expires with no
-// contact, promote. Runs until promotion, fencing, or Close.
+// the configured primary, and promote once the primary's lease expires
+// with no contact. Runs until promotion, fencing, or Close.
 func (s *MasterServer) follow() {
 	defer s.wg.Done()
-	// The primary gets one full lease from standby boot before a
-	// promotion can happen.
+	// The primary gets one full lease from standby boot.
 	lastContact := time.Now()
 	s.graph.ReplLastContact.Set(lastContact.UnixNano())
-	retry := RetryPolicy{
-		InitialBackoff: 20 * time.Millisecond,
-		MaxBackoff:     s.lease / 4,
-		Multiplier:     2,
-		Jitter:         0.5,
-	}.withDefaults()
-	if retry.MaxBackoff < retry.InitialBackoff {
-		retry.MaxBackoff = retry.InitialBackoff
-	}
+	retry := RetryPolicy{InitialBackoff: 20 * time.Millisecond, MaxBackoff: max(s.lease/4, 20*time.Millisecond),
+		Multiplier: 2, Jitter: 0.5}.withDefaults()
 	candidates := splitMasterAddrs(s.standby)
-	for attempt := 1; ; attempt++ {
-		select {
-		case <-s.closeCh:
-			return
-		default:
-		}
-		if s.fenced.Load() {
-			return
-		}
+	for attempt := 1; !s.fenced.Load(); attempt++ {
 		if time.Since(lastContact) > s.lease {
 			s.promote()
 			return
 		}
-		addr := candidates[(attempt-1)%len(candidates)]
-		if conn, err := s.dialRepl(addr); err == nil {
-			s.followConn(conn, &lastContact)
+		if conn, sc, err := s.replSync(candidates[(attempt-1)%len(candidates)]); err == nil {
+			s.followConn(conn, sc, &lastContact)
 		}
 		select {
 		case <-s.closeCh:
@@ -421,68 +144,53 @@ func (s *MasterServer) follow() {
 	}
 }
 
-// followConn runs one replication session: handshake, snapshot, op
-// stream. Returns when the connection dies, the source proves stale,
-// or the feed goes silent past the lease (read deadline).
-func (s *MasterServer) followConn(conn net.Conn, lastContact *time.Time) {
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	var encMu sync.Mutex
-	conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	if err := enc.Encode(masterMsg{Op: "repl_sync", Epoch: s.epoch.Load()}); err != nil {
-		return
+// replSync dials addr and asks to follow its log, claiming this
+// server's epoch.
+func (s *MasterServer) replSync(addr string) (net.Conn, *bufio.Scanner, error) {
+	conn, err := s.dialRepl(addr)
+	if err != nil {
+		return nil, nil, err
 	}
-	conn.SetWriteDeadline(time.Time{})
+	if err := writeLine(conn, &masterMsg{Op: "repl_sync", Epoch: s.epoch.Load()}); err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	return conn, lineScanner(conn, replScanBuffer), nil
+}
 
-	// Keepalive toward the primary: advances its client-liveness
-	// watchdog so a quiet replica is not expired as a ghost.
-	pingEvery := s.lease / 3
-	if pingEvery < 10*time.Millisecond {
-		pingEvery = 10 * time.Millisecond
-	}
-	pingStop := make(chan struct{})
-	defer close(pingStop)
+// followConn runs one replication session: snapshot, then op stream. It
+// returns when the connection dies, the source proves stale, or the
+// feed goes silent past the lease (the read deadline).
+func (s *MasterServer) followConn(conn net.Conn, sc *bufio.Scanner, lastContact *time.Time) {
+	defer conn.Close()
+	done := make(chan struct{})
+	defer close(done)
 	s.wg.Add(1)
-	go func() {
+	go func() { // Shutdown must not wait out a healthy feed
 		defer s.wg.Done()
-		t := time.NewTicker(pingEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-pingStop:
-				return
-			case <-s.closeCh:
-				// Shutdown must not wait out the feed: a healthy primary
-				// keeps Scan fed forever, so sever the connection here.
-				conn.Close()
-				return
-			case <-t.C:
-				encMu.Lock()
-				conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-				err := enc.Encode(masterMsg{Op: "repl_ping"})
-				conn.SetWriteDeadline(time.Time{})
-				encMu.Unlock()
-				if err != nil {
-					conn.Close()
-					return
-				}
-			}
+		select {
+		case <-s.closeCh:
+			conn.Close()
+		case <-done:
 		}
 	}()
-
-	var lastSeq uint64
-	synced := false
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), replScanBuffer)
+	var pos uint64 // the primary's log position applied so far
+	var synced bool
+	var pinged time.Time
 	for {
-		// The lease doubles as the read deadline: a wedged-but-open
-		// connection must not stall the promotion clock.
 		conn.SetReadDeadline(time.Now().Add(s.lease))
 		if !sc.Scan() {
 			return
 		}
-		var m masterMsg
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+		// Keepalive toward the primary, whose read deadline would
+		// otherwise expire a quiet replica as a ghost.
+		if time.Since(pinged) >= s.beat() {
+			if pinged = time.Now(); writeLine(conn, &masterMsg{Op: "repl_ping"}) != nil {
+				return
+			}
+		}
+		m, err := decodeLine(sc.Bytes())
+		if err != nil {
 			s.graph.MalformedLines.Inc()
 			continue
 		}
@@ -495,38 +203,41 @@ func (s *MasterServer) followConn(conn net.Conn, lastContact *time.Time) {
 			}
 			s.epoch.Store(m.Epoch)
 			s.graph.Epoch.SetMax(m.Epoch)
-			s.applySnapshot(&m)
-			lastSeq = m.Seq
-			synced = true
+			s.log.reconcile(m.snapEntries(), s.replicate, s.unregisterEntry)
+			pos, synced = m.Seq, true
 		case "repl_op":
 			if !synced {
 				continue // ops before the snapshot belong to no cut we know
 			}
-			if m.Seq != lastSeq+1 {
-				log.Printf("ros: standby %s: replication gap (have %d, got %d); resyncing",
-					s.Addr(), lastSeq, m.Seq)
+			if m.Seq != pos+1 {
+				log.Printf("ros: standby %s: replication gap (have %d, got %d); resyncing", s.Addr(), pos, m.Seq)
 				return
 			}
-			lastSeq = m.Seq
-			s.applyOp(&m)
+			pos = m.Seq
+			switch key := (regKey{m.Owner, m.Handle}); m.Kind {
+			case "regpub", "regsrv":
+				s.replicate(m.entry(key, m.Kind))
+			case "unregpub", "unregsrv":
+				if e := s.log.get(key); e != nil {
+					s.unregisterEntry(e)
+				}
+			}
 		case "repl_hb":
-			if synced && m.Seq != lastSeq {
-				log.Printf("ros: standby %s: heartbeat seq %d != applied %d; resyncing",
-					s.Addr(), m.Seq, lastSeq)
+			if synced && m.Seq != pos {
+				log.Printf("ros: standby %s: heartbeat seq %d != applied %d; resyncing", s.Addr(), m.Seq, pos)
 				return
 			}
 		case "err":
 			switch m.Code {
 			case codeStaleEpoch:
-				// The source says OUR claimed epoch is ahead of it: the
-				// source is the stale one (it fences itself on this
-				// exchange). Let the lease run out and promote.
+				// The source says OUR epoch is ahead of it: the source is
+				// the stale one (it fences itself on this exchange). Let
+				// the lease run out and promote.
 				log.Printf("ros: standby %s: replication source %s is behind our epoch; waiting out the lease",
 					s.Addr(), conn.RemoteAddr())
 				return
 			case codeStandby:
-				// Following another unpromoted standby: useless feed.
-				return
+				return // following another unpromoted standby: a useless feed
 			}
 			continue
 		default:
@@ -537,83 +248,21 @@ func (s *MasterServer) followConn(conn net.Conn, lastContact *time.Time) {
 	}
 }
 
-// applySnapshot reconciles the replica against a full-state snapshot as
-// a diff: entries missing from the snapshot are cancelled, new ones
-// registered, unchanged ones untouched (no watcher churn on periodic
-// snapshots).
-func (s *MasterServer) applySnapshot(m *masterMsg) {
-	want := make(map[replKey]*replReg, len(m.RPubs)+len(m.RSrvs))
-	for i := range m.RPubs {
-		r := &m.RPubs[i]
-		r.kind = "pub"
-		want[replKey{r.Owner, r.Handle}] = r
-	}
-	for i := range m.RSrvs {
-		r := &m.RSrvs[i]
-		r.kind = "srv"
-		want[replKey{r.Owner, r.Handle}] = r
-	}
-	s.replicaMu.Lock()
-	defer s.replicaMu.Unlock()
-	for k, e := range s.replica {
-		if _, keep := want[k]; !keep {
-			delete(s.replica, k)
-			e.cancel()
-		} else {
-			delete(want, k) // already applied
-		}
-	}
-	for k, r := range want {
-		s.applyRegLocked(k, r)
-	}
-}
-
-// applyOp applies one replicated mutation to the replica.
-func (s *MasterServer) applyOp(m *masterMsg) {
-	k := replKey{m.Owner, m.Handle}
-	s.replicaMu.Lock()
-	defer s.replicaMu.Unlock()
-	switch m.Kind {
-	case "regpub":
-		s.applyRegLocked(k, &replReg{Owner: m.Owner, Handle: m.Handle, Topic: m.Topic,
-			Node: m.Node, Addr: m.Addr, Type: m.Type, MD5: m.MD5, Relay: m.Relay, kind: "pub"})
-	case "regsrv":
-		s.applyRegLocked(k, &replReg{Owner: m.Owner, Handle: m.Handle, Topic: m.Topic,
-			Node: m.Node, Addr: m.Addr, Type: m.Type, Resp: m.Resp, MD5: m.MD5, kind: "srv"})
-	case "unregpub", "unregsrv":
-		if e, ok := s.replica[k]; ok {
-			delete(s.replica, k)
-			e.cancel()
-		}
-	}
-}
-
-// applyRegLocked registers one snapshot/op entry on the replica's
-// LocalMaster. Callers hold replicaMu.
-func (s *MasterServer) applyRegLocked(k replKey, r *replReg) {
-	e := &regEntry{key: k, kind: r.kind, topic: r.Topic}
-	var cancel func()
-	var err error
-	if r.kind == "srv" {
-		e.srv = ServiceInfo{NodeName: r.Node, Addr: r.Addr, ReqType: r.Type, RespType: r.Resp, MD5: r.MD5}
-		cancel, err = s.master.RegisterService(r.Topic, e.srv)
-	} else {
-		e.pub = PublisherInfo{NodeName: r.Node, Addr: r.Addr, TypeName: r.Type, MD5: r.MD5, Relay: r.Relay}
-		cancel, err = s.master.RegisterPublisher(r.Topic, e.pub)
-	}
-	if err != nil {
-		// A conflicting entry (e.g. a raced service name) cannot be
-		// represented; count it rather than wedging the feed.
+// replicate serves one entry of the primary's log and adds it to the
+// standby's. An entry this LocalMaster cannot hold (e.g. a raced
+// service name) is counted rather than allowed to wedge the feed.
+func (s *MasterServer) replicate(e *regEntry) {
+	if err := s.serve(e); err != nil {
 		s.graph.MalformedLines.Inc()
-		log.Printf("ros: standby %s: cannot apply replicated %s %q: %v", s.Addr(), r.kind, r.Topic, err)
+		log.Printf("ros: standby %s: cannot apply replicated %s %q: %v", s.Addr(), e.kind, e.topic, err)
 		return
 	}
-	e.cancel = cancel
-	s.replica[k] = e
+	s.log.add(e)
 }
 
 // promote turns the standby into the primary: bump and persist the
-// epoch, inherit the replica as adoptable state with an expiry window,
+// epoch, open the replicated entries to adoption for one client-expiry
+// window (exactly the liveness budget a client of the old primary had),
 // open the write path, and fence the old primary's address.
 func (s *MasterServer) promote() {
 	newEpoch := s.epoch.Load() + 1
@@ -622,66 +271,39 @@ func (s *MasterServer) promote() {
 	s.graph.Epoch.SetMax(newEpoch)
 	s.graph.ReplLastContact.Set(0)
 
-	s.replicaMu.Lock()
-	inherited := s.replica
-	s.replica = make(map[replKey]*regEntry)
-	s.replicaMu.Unlock()
-
-	s.repl.mu.Lock()
-	if s.repl.inherited == nil {
-		s.repl.inherited = make(map[adoptKey]*regEntry, len(inherited))
+	live, _ := s.log.snapshot()
+	s.inheritMu.Lock()
+	s.inherited = make(map[adoptKey]*regEntry, len(live))
+	for _, e := range live {
+		s.inherited[e.adoptionKey()] = e
 	}
-	for k, e := range inherited {
-		e.inherited = true
-		s.repl.table[k] = e
-		s.repl.inherited[e.adoptionKey()] = e
-	}
-	s.repl.mu.Unlock()
-
+	s.inheritMu.Unlock()
 	s.primary.Store(true)
+	grace := s.expiry
+	if grace <= 0 {
+		grace = defaultClientExpiry
+	}
 	log.Printf("ros: master %s: primary lease expired — promoting to epoch %d (%d inherited registrations, adoption window %v)",
-		s.Addr(), newEpoch, len(inherited), s.inheritGrace())
-
-	// Expire whatever no client adopts within the grace window.
-	if len(inherited) > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			select {
-			case <-s.closeCh:
-				return
-			case <-time.After(s.inheritGrace()):
-			}
+		s.Addr(), newEpoch, len(live), grace)
+	s.wg.Add(2)
+	go func() {
+		defer s.wg.Done()
+		select {
+		case <-s.closeCh:
+		case <-time.After(grace):
 			s.expireInherited()
-		}()
-	}
-
-	// Actively fence the old primary so a zombie that comes back cannot
-	// serve anyone for long.
-	s.wg.Add(1)
+		}
+	}()
 	go s.fenceOldPrimary()
-}
-
-// inheritGrace is how long inherited registrations survive promotion
-// unadopted: the client-expiry window — exactly the liveness budget a
-// client of the old primary had anyway.
-func (s *MasterServer) inheritGrace() time.Duration {
-	if s.expiry > 0 {
-		return s.expiry
-	}
-	return defaultClientExpiry
 }
 
 // expireInherited cancels every inherited entry that no client replay
 // adopted within the grace window.
 func (s *MasterServer) expireInherited() {
-	s.repl.mu.Lock()
-	orphans := make([]*regEntry, 0, len(s.repl.inherited))
-	for _, e := range s.repl.inherited {
-		orphans = append(orphans, e)
-	}
-	s.repl.inherited = nil
-	s.repl.mu.Unlock()
+	s.inheritMu.Lock()
+	orphans := s.inherited
+	s.inherited = nil
+	s.inheritMu.Unlock()
 	for _, e := range orphans {
 		s.graph.GhostExpiries.Inc()
 		s.unregisterEntry(e)
@@ -693,71 +315,43 @@ func (s *MasterServer) expireInherited() {
 }
 
 // fenceOldPrimary probes the old primary's address with the new epoch
-// until the old primary acknowledges it is stale (it self-fences on the
-// handshake) or the server closes. This closes the zombie window even
-// for clients that never learned the new epoch.
+// until the old primary acknowledges it is stale or the server closes.
+// This closes the zombie window even for clients that never learned the
+// new epoch.
 func (s *MasterServer) fenceOldPrimary() {
 	defer s.wg.Done()
-	interval := s.lease
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	candidates := splitMasterAddrs(s.standby)
-	pending := make(map[string]bool, len(candidates))
-	for _, a := range candidates {
-		pending[a] = true
-	}
-	for {
+	for pending := splitMasterAddrs(s.standby); len(pending) > 0; pending = slices.DeleteFunc(pending, s.probeFence) {
 		select {
 		case <-s.closeCh:
 			return
-		case <-time.After(interval):
-		}
-		for addr := range pending {
-			if s.probeFence(addr) {
-				delete(pending, addr)
-			}
-		}
-		if len(pending) == 0 {
-			return
+		case <-time.After(max(s.lease, 100*time.Millisecond)):
 		}
 	}
 }
 
 // probeFence performs one fencing exchange against addr: a repl_sync
-// claiming our (higher) epoch. A stale primary answers err:stale_epoch
-// and fences itself — that is the new primary rejecting the old one.
-// Returns true when the address is confirmed fenced or runs a
-// current-epoch server (nothing left to fence).
+// claiming our (higher) epoch, which a stale primary answers with
+// err:stale_epoch as it fences itself. It reports whether the address
+// is settled: fenced, or serving a current-epoch primary (then this
+// server is the stale side and fences itself).
 func (s *MasterServer) probeFence(addr string) bool {
-	conn, err := s.dialRepl(addr)
+	conn, sc, err := s.replSync(addr)
 	if err != nil {
 		return false // nobody home yet; keep probing
 	}
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	if err := enc.Encode(masterMsg{Op: "repl_sync", Epoch: s.epoch.Load()}); err != nil {
-		return false
-	}
-	conn.SetWriteDeadline(time.Time{})
 	conn.SetReadDeadline(time.Now().Add(s.lease))
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), replScanBuffer)
 	if !sc.Scan() {
 		return false
 	}
-	var m masterMsg
-	if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-		return false
-	}
+	m, err := decodeLine(sc.Bytes())
 	switch {
+	case err != nil:
+		return false
 	case m.Op == "err" && m.Code == codeStaleEpoch:
-		log.Printf("ros: master %s: fenced stale primary at %s (its epoch behind %d)",
-			s.Addr(), addr, s.epoch.Load())
+		log.Printf("ros: master %s: fenced stale primary at %s (its epoch behind %d)", s.Addr(), addr, s.epoch.Load())
 		return true
 	case m.Op == "repl_snap" && m.Epoch >= s.epoch.Load():
-		// A current-or-newer primary answered: we are the stale side.
 		s.fence(m.Epoch)
 		return true
 	}
@@ -780,15 +374,9 @@ func (s *MasterServer) persistEpoch(e int64) {
 // LoadEpochFile reads a persisted epoch (0 when absent or unreadable).
 // cmd/rosmaster uses it to carry the epoch across restarts.
 func LoadEpochFile(path string) int64 {
-	if path == "" {
-		return 0
-	}
 	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
-	if err != nil || v < 0 {
+	v, perr := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64)
+	if err != nil || perr != nil || v < 0 {
 		return 0
 	}
 	return v
@@ -797,9 +385,8 @@ func LoadEpochFile(path string) int64 {
 // splitMasterAddrs splits a comma-separated master address list,
 // trimming blanks.
 func splitMasterAddrs(addr string) []string {
-	parts := strings.Split(addr, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+	var out []string
+	for _, p := range strings.Split(addr, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}

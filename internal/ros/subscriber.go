@@ -59,8 +59,11 @@ type ConnState int
 const (
 	// ConnConnected: the handshake completed and frames are flowing.
 	ConnConnected ConnState = iota
-	// ConnRetrying: the link failed and the subscriber is backing off
-	// before the next dial.
+	// ConnRetrying: the link is down — its peer was lost, or the master
+	// withdrew the publisher. The subscriber backs off before the next
+	// dial, unless the publisher was withdrawn; either way a link that
+	// was Connected reports this once, before any link that replaces it
+	// connects (DESIGN §3.10).
 	ConnRetrying
 	// ConnGaveUp: the retry budget is exhausted or the publisher
 	// rejected the handshake; the subscriber will not redial this
@@ -188,9 +191,10 @@ func WithRetry(p RetryPolicy) SubOption {
 
 // WithConnState registers a callback observing each publisher link's
 // health transitions (Connected, Retrying, GaveUp), keyed by the
-// publisher's address. The callback runs on transport goroutines and
-// must not block; use it to degrade gracefully — switch to a fallback
-// sensor, raise an alert — instead of silently losing data.
+// publisher's address. The callback runs on transport goroutines, one
+// report at a time, and must not block; use it to degrade gracefully —
+// switch to a fallback sensor, raise an alert — instead of silently
+// losing data.
 func WithConnState(cb func(addr string, state ConnState)) SubOption {
 	return func(c *subConfig) { c.connState = cb }
 }
@@ -242,6 +246,10 @@ type Subscriber struct {
 	corrupt atomic.Uint64 // frames rejected by checksum
 	resyncs atomic.Uint64 // bytes skipped resynchronizing damaged streams
 
+	// stateMu orders link-state reports: a link's loss and the start of
+	// the links that replace it, so the loss is reported first.
+	stateMu sync.Mutex
+
 	mu     sync.Mutex
 	conns  map[string]*subConn // keyed by publisher address
 	inproc map[*pubEndpoint]struct{}
@@ -269,6 +277,20 @@ func (s *Subscriber) notifyState(addr string, state ConnState) {
 	if s.connState != nil {
 		s.connState(addr, state)
 	}
+}
+
+// linkState reports a transition of a live link; it reports nothing and
+// returns false once the link is closed — a withdrawn link's loss is
+// reported by the reconcile that withdrew it (onPublishers).
+func (s *Subscriber) linkState(addr string, sc *subConn, state ConnState) bool {
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	if sc.isClosed() {
+		return false
+	}
+	sc.up = state == ConnConnected
+	s.notifyState(addr, state)
+	return true
 }
 
 func (s *Subscriber) isClosed() bool {
@@ -609,7 +631,20 @@ func (s *Subscriber) onPublishers(pubs []PublisherInfo) {
 		}
 	}
 
-	// Dial new TCP publishers.
+	// Drop vanished TCP publishers, then dial new ones — after reporting
+	// the loss of every dropped link that was up, so a failover reads
+	// Retrying before Connected. That runs on its own goroutine: the
+	// state callback must not run on the master's notify path.
+	var dropped []*subConn
+	var dropAddrs []string
+	for addr, sc := range s.conns {
+		if !wantTCP[addr] {
+			sc.close()
+			delete(s.conns, addr)
+			dropped, dropAddrs = append(dropped, sc), append(dropAddrs, addr)
+		}
+	}
+	var dials []func()
 	for addr := range wantTCP {
 		if _, ok := s.conns[addr]; ok {
 			continue
@@ -617,18 +652,32 @@ func (s *Subscriber) onPublishers(pubs []PublisherInfo) {
 		sc := newSubConn()
 		s.conns[addr] = sc
 		s.wg.Add(1)
-		go func(addr string, sc *subConn) {
+		dials = append(dials, func() {
 			defer s.wg.Done()
 			s.dialAndRun(addr, sc)
-		}(addr, sc)
+		})
 	}
-	// Drop vanished TCP publishers.
-	for addr, sc := range s.conns {
-		if !wantTCP[addr] {
-			sc.close()
-			delete(s.conns, addr)
+	if len(dropped) == 0 {
+		for _, dial := range dials {
+			go dial()
 		}
+		return
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.stateMu.Lock()
+		for i, sc := range dropped {
+			if sc.up {
+				sc.up = false
+				s.notifyState(dropAddrs[i], ConnRetrying)
+			}
+		}
+		s.stateMu.Unlock()
+		for _, dial := range dials {
+			go dial()
+		}
+	}()
 }
 
 // stableSpread hashes a subscription identity for deterministic relay
@@ -671,18 +720,20 @@ func (s *Subscriber) dialAndRun(addr string, sc *subConn) {
 		if permanent {
 			// The publisher answered the handshake with an error (type,
 			// md5, or format mismatch): redialing cannot fix it.
-			s.notifyState(addr, ConnGaveUp)
+			s.linkState(addr, sc, ConnGaveUp)
 			return
 		}
 		attempt++
 		if s.retry.MaxAttempts > 0 && attempt > s.retry.MaxAttempts {
-			s.notifyState(addr, ConnGaveUp)
+			s.linkState(addr, sc, ConnGaveUp)
 			return
 		}
 		if s.stats != nil {
 			s.stats.Reconnects.Inc()
 		}
-		s.notifyState(addr, ConnRetrying)
+		if !s.linkState(addr, sc, ConnRetrying) {
+			return
+		}
 		if !sc.sleep(s.retry.backoff(attempt)) {
 			return
 		}
@@ -741,7 +792,9 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 	default:
 		dec = s.decoders.plain(reply)
 	}
-	s.notifyState(addr, ConnConnected)
+	if !s.linkState(addr, sc, ConnConnected) {
+		return false, false // withdrawn during the handshake: it never was up
+	}
 	newPump(frames, maxLen, s).run(dec) //nolint:errcheck // every exit is a redial
 	return true, false
 }
@@ -792,6 +845,7 @@ type subConn struct {
 	conn     net.Conn
 	queue    *os.File
 	closed   bool
+	up       bool       // reported Connected and not yet down; guarded by Subscriber.stateMu
 	declined capability // capabilities this link stopped offering after they failed on it
 	done     chan struct{}
 }

@@ -85,6 +85,14 @@ check "a share-undo path is back" \
 check "a sync.Pool is back in the message manager (internal/core)" \
 	"$(grep -rn 'sync\.Pool' internal/core --include='*.go' | nontest | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)"
 
+# The graph plane keeps one registration log (DESIGN §3.9, §3.14): the
+# client's replay, the primary's standby feed and the standby's replica
+# all follow it, and only the log numbers its positions or frames them
+# for a standby. A second table with its own sequence is how the three
+# grew apart before.
+check "a replication sequence or a repl_op/repl_snap message is built outside internal/ros/reglog.go" \
+	"$(grep -rnE '(^|[^A-Za-z_])Seq:|\.Seq *=[^=]|Op: *"repl_(op|snap)"|[^=!]= *"repl_(op|snap)"' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/reglog\.go:' || true)"
+
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
 
