@@ -38,11 +38,13 @@ chaos-failover:
 	$(GO) test -race -count=1 -run 'TestStandby|TestStaleEpoch|TestPromoted|TestClientSkips|TestReplayConvergenceAcrossPromotion|TestMultiAddressDialShape|TestUnadopted' ./internal/ros/
 
 # Short fuzz passes: long enough to catch regressions in the frame
-# scanner and parser, short enough for CI. The last one drives the
-# recycled-record life-cycle model (TESTING.md) from generated seeds;
-# `make race` runs its seed corpus under the race detector.
+# scanner, the CRC-32C kernel and the parsers, short enough for CI. The
+# last one drives the recycled-record life-cycle model (TESTING.md) from
+# generated seeds; `make race` runs its seed corpus under the race
+# detector.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzChecksumMatchesStdlib -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzParseSrv -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDecoder -fuzztime=10s ./internal/fieldwire/

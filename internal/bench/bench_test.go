@@ -32,9 +32,14 @@ func TestFig13ShapeHolds(t *testing.T) {
 }
 
 func TestFig14ShapeHolds(t *testing.T) {
+	// The ProtoBuf/FlatBuf gap is one 1.2 MB allocation and copy, 5-10%
+	// of a ~1 ms message against a per-message spread of 0.2-0.4 ms. To
+	// resolve it, RunFig14 interleaves each pair message by message and
+	// the order is judged on medians of 200 samples; means of a few
+	// dozen do not resolve it (EXPERIMENTS.md, "Fig. 14's closest pair").
 	res, err := RunFig14(Fig14Config{
 		Size:     ImageSize{Name: "1.2MB(640x640)", W: 640, H: 640},
-		Messages: 25, Warmup: 5,
+		Messages: 200, Warmup: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +55,9 @@ func TestFig14ShapeHolds(t *testing.T) {
 		if base == nil || sf == nil {
 			t.Fatalf("missing series for pair %v", p)
 		}
-		if sf.Mean() >= base.Mean() {
-			t.Errorf("%s (%v) not faster than %s (%v)", p[1], sf.Mean(), p[0], base.Mean())
+		if sfP50, baseP50 := sf.Percentile(50), base.Percentile(50); sfP50 >= baseP50 {
+			t.Errorf("%s median (%v) not faster than %s median (%v); means %v, %v",
+				p[1], sfP50, p[0], baseP50, sf.Mean(), base.Mean())
 		}
 	}
 	t.Logf("\n%s", res.Format())

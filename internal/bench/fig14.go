@@ -81,70 +81,99 @@ type pipeline struct {
 }
 
 // RunFig14 runs every middleware pipeline over its own loopback TCP
-// connection, lockstep, and collects creation-to-access latencies.
+// connection, lockstep, and collects creation-to-access latencies. The
+// figure's claim is an order within each pair (a serializing pipeline
+// and its serialization-free variant), so a pair runs together, taking
+// turns message by message: drift in the host (frequency, a
+// neighbour's load) lands on both sides alike, and the collector work
+// the pair sees is its own, not that of the other pairs' allocating
+// pipelines.
 func RunFig14(cfg Fig14Config) (*Fig14Result, error) {
 	cfg.fillDefaults()
+	ps := buildPipelines()
 	res := &Fig14Result{}
-	for _, p := range buildPipelines() {
-		s, err := runPipeline(p, cfg)
+	for i := 0; i < len(ps); i += 2 {
+		pair, err := runPipelines(ps[i:i+2], cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fig14 %s: %w", p.name, err)
+			return nil, err
 		}
-		res.Series = append(res.Series, s)
+		res.Series = append(res.Series, pair.Series...)
 	}
 	return res, nil
 }
 
-func runPipeline(p pipeline, cfg Fig14Config) (*LatencySeries, error) {
-	client, server, err := tcpPair()
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	defer server.Close()
+// pipelineLink is one pipeline's connection and receiver.
+type pipelineLink struct {
+	p              pipeline
+	client, server net.Conn
+	results        chan recvResult
+	series         *LatencySeries
+}
 
-	slab := pixelSlab(cfg.Size.Bytes())
-	series := &LatencySeries{Label: p.name}
+type recvResult struct {
+	stamp msg.Time
+	err   error
+}
 
-	type recvResult struct {
-		stamp msg.Time
-		err   error
-	}
-	results := make(chan recvResult, 1)
-	go func() {
-		for i := 0; i < cfg.Warmup+cfg.Messages; i++ {
-			stamp, _, err := p.recv(server)
-			results <- recvResult{stamp: stamp, err: err}
-			if err != nil {
-				return
-			}
+func runPipelines(ps []pipeline, cfg Fig14Config) (*Fig14Result, error) {
+	links := make([]*pipelineLink, 0, len(ps))
+	defer func() {
+		for _, l := range links {
+			l.client.Close()
+			l.server.Close()
 		}
 	}()
+	rounds := cfg.Warmup + cfg.Messages
+	for _, p := range ps {
+		client, server, err := tcpPair()
+		if err != nil {
+			return nil, fmt.Errorf("fig14 %s: %w", p.name, err)
+		}
+		l := &pipelineLink{p: p, client: client, server: server,
+			results: make(chan recvResult, 1), series: &LatencySeries{Label: p.name}}
+		links = append(links, l)
+		go func() {
+			for i := 0; i < rounds; i++ {
+				stamp, _, err := l.p.recv(l.server)
+				l.results <- recvResult{stamp: stamp, err: err}
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
 
-	for i := 0; i < cfg.Warmup+cfg.Messages; i++ {
-		t0 := time.Now()
-		src := &rawImage{
-			Seq:      uint32(i),
-			Stamp:    msg.NewTime(t0),
-			FrameID:  "camera",
-			Height:   uint32(cfg.Size.H),
-			Width:    uint32(cfg.Size.W),
-			Step:     uint32(cfg.Size.W * 3),
-			Encoding: "rgb8",
-			Data:     slab,
-		}
-		if err := p.send(client, src); err != nil {
-			return nil, err
-		}
-		r := <-results
-		if r.err != nil {
-			return nil, r.err
-		}
-		if i >= cfg.Warmup {
-			series.Add(time.Since(r.stamp.ToTime()))
+	slab := pixelSlab(cfg.Size.Bytes())
+	for i := 0; i < rounds; i++ {
+		for _, l := range links {
+			t0 := time.Now()
+			src := &rawImage{
+				Seq:      uint32(i),
+				Stamp:    msg.NewTime(t0),
+				FrameID:  "camera",
+				Height:   uint32(cfg.Size.H),
+				Width:    uint32(cfg.Size.W),
+				Step:     uint32(cfg.Size.W * 3),
+				Encoding: "rgb8",
+				Data:     slab,
+			}
+			if err := l.p.send(l.client, src); err != nil {
+				return nil, fmt.Errorf("fig14 %s: %w", l.p.name, err)
+			}
+			r := <-l.results
+			if r.err != nil {
+				return nil, fmt.Errorf("fig14 %s: %w", l.p.name, r.err)
+			}
+			if i >= cfg.Warmup {
+				l.series.Add(time.Since(r.stamp.ToTime()))
+			}
 		}
 	}
-	return series, nil
+	res := &Fig14Result{}
+	for _, l := range links {
+		res.Series = append(res.Series, l.series)
+	}
+	return res, nil
 }
 
 // MiddlewareNames lists the Fig. 14 configurations in display order.
@@ -163,13 +192,18 @@ func RunFig14One(name string, cfg Fig14Config) (*LatencySeries, error) {
 	cfg.fillDefaults()
 	for _, p := range buildPipelines() {
 		if p.name == name {
-			return runPipeline(p, cfg)
+			res, err := runPipelines([]pipeline{p}, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return res.Series[0], nil
 		}
 	}
 	return nil, fmt.Errorf("fig14: unknown middleware %q", name)
 }
 
-// buildPipelines assembles the six Fig. 14 configurations.
+// buildPipelines assembles the six Fig. 14 configurations, each
+// serializing pipeline followed by its serialization-free pair.
 func buildPipelines() []pipeline {
 	return []pipeline{
 		rosPipeline(),

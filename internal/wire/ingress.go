@@ -22,8 +22,10 @@ import (
 //
 // The buffer breathes with the traffic, like the subscriber scratch
 // buffer: a Read that fills the whole buffer signals a burst and doubles
-// the capacity (up to IngressMaxBuffer); a long run of mostly-empty
-// fills decays it back toward the floor. Partial frames at the end of a
+// the capacity (up to IngressMaxBuffer) — unless the Read ended inside
+// a frame larger than IngressMaxBuffer, which bypasses the batch
+// through ReadFull and is one frame, not a burst; a long run of
+// mostly-empty fills decays it back toward the floor. Partial frames at the end of a
 // batch are handed to the next fill by moving only the tail bytes —
 // never the whole buffer.
 //
@@ -220,6 +222,14 @@ func (ir *IngressReader) Next() (payloadLen int, crc uint32, err error) {
 			length := binary.LittleEndian.Uint32(hdr[4:8])
 			if int64(length) <= int64(ir.maxLen) {
 				ir.start += FrameHeaderSize
+				if int(length) > IngressMaxBuffer && ir.start+int(length) > ir.end {
+					// The last fill ended inside a frame too large to
+					// batch. ReadFull takes the rest straight into the
+					// caller's storage, so a full buffer here was one
+					// frame, not a burst: growing it would only lengthen
+					// the copy out of the batch.
+					ir.lastFull = false
+				}
 				return int(length), binary.LittleEndian.Uint32(hdr[8:12]), nil
 			}
 		}

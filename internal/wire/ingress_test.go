@@ -318,6 +318,53 @@ func TestIngressOversizedPayloadRoutesToReadFull(t *testing.T) {
 	}
 }
 
+// TestIngressLargeFramesAreNotABurst: back-to-back frames larger than
+// IngressMaxBuffer fill the batch on every Read, but each is one frame
+// that ReadFull moves straight into caller storage, so the batch stays
+// at the floor and copies at most a floor's worth of each. A burst of
+// 4 KiB frames on the same reader afterwards still grows it.
+func TestIngressLargeFramesAreNotABurst(t *testing.T) {
+	const frames, size = 6, 1_440_000
+	payload := bytes.Repeat([]byte{0x6B}, size)
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = AppendFrame(stream, payload)
+	}
+	for i := 0; i < 64; i++ {
+		stream = AppendFrame(stream, bytes.Repeat([]byte{byte(i)}, 4096))
+	}
+	ir := NewIngressReader(&chunkReader{data: stream}, size)
+	floor := make([]byte, IngressMinBuffer)
+	ir.buf = &floor
+	defer ir.Release()
+	dst := make([]byte, size)
+	for i := 0; i < frames; i++ {
+		n, crc, err := ir.Next()
+		if err != nil || n != size {
+			t.Fatalf("frame %d: n=%d err=%v", i, n, err)
+		}
+		if err := ir.ReadFull(dst); err != nil || Checksum(dst) != crc {
+			t.Fatalf("frame %d: err=%v, checksum ok=%v", i, err, Checksum(dst) == crc)
+		}
+		if c := cap(*ir.buf); c != IngressMinBuffer {
+			t.Fatalf("frame %d: batch grew to %d bytes under %d-byte frames", i, c, size)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		n, crc, err := ir.Next()
+		if err != nil {
+			t.Fatalf("small frame %d: %v", i, err)
+		}
+		p, ok, err := ir.Payload(n)
+		if err != nil || !ok || Checksum(p) != crc {
+			t.Fatalf("small frame %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if c := cap(*ir.buf); c <= IngressMinBuffer {
+		t.Fatalf("a 4 KiB burst after the large frames left the batch at %d bytes", c)
+	}
+}
+
 // TestIngressBufferGrowthAndDecay: a burst doubles the batch buffer up
 // to the ceiling; a long run of sparse fills decays it back to the
 // recent peak, like the subscriber scratch buffer.

@@ -93,6 +93,13 @@ check "a sync.Pool is back in the message manager (internal/core)" \
 check "a replication sequence or a repl_op/repl_snap message is built outside internal/ros/reglog.go" \
 	"$(grep -rnE '(^|[^A-Za-z_])Seq:|\.Seq *=[^=]|Op: *"repl_(op|snap)"|[^=!]= *"repl_(op|snap)"' internal/ros --include='*.go' | nontest | grep -v '^internal/ros/reglog\.go:' || true)"
 
+# One checksum site (DESIGN §3.8): every CRC-32C goes through
+# internal/wire's Checksum/Checksum2/ChecksumUpdate, which pick the
+# folding kernel where the CPU has it. A second import of hash/crc32
+# would hash on the slow path and could drift from the wire's rule.
+check "hash/crc32 is imported outside internal/wire" \
+	"$(grep -rn '"hash/crc32"' --include='*.go' . | nontest | grep -v '^\./internal/wire/' || true)"
+
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
 
