@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ipc bench-egress bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor shm-floor clean
+.PHONY: all build test race bench bench-ipc bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor shm-floor clean
 
 all: build test
 
@@ -62,14 +62,10 @@ bench:
 bench-ipc:
 	$(GO) run ./cmd/rossf-bench ipc -messages 2000 -out BENCH_ipc.json
 
-# Streaming TCP fan-out throughput through the batched egress path
-# -> BENCH_egress.json. (The A/B against the per-frame path it replaced
-# is recorded in EXPERIMENTS.md.)
-bench-egress:
-	$(GO) run ./cmd/rossf-bench egress -out BENCH_egress.json
-
-# Sharded fan-out matrix (1..10000 subscribers x 4KiB/64KiB), sharded
-# egress vs the classic per-connection write loops -> BENCH_fanout.json.
+# Streaming fan-out matrix (1..10000 subscribers x 4KiB/64KiB): what a
+# publisher with that many TCP subscribers gets — write loops below the
+# shard threshold, the shard pool past it -> BENCH_fanout.json. (A 1 MiB
+# column: `rossf-bench fanout -size 1048576 -maxsubs 8`.)
 # The 10000-subscriber cells hold ~20k connection ends; the runner
 # raises RLIMIT_NOFILE when it can, pushes the drain readers into
 # worker subprocesses (`rossf-bench fanout-drain`) when one process

@@ -6,7 +6,7 @@
 //
 //	rospub [-master 127.0.0.1:11311] [-master-timeout 5s] [-topic camera/image]
 //	       [-rate 10] [-width 256] [-height 256] [-sfm] [-count 0]
-//	       [-shards 0] [-metrics 127.0.0.1:0]
+//	       [-metrics 127.0.0.1:0]
 //
 // With -metrics, the node serves its observability snapshot (per-topic
 // publisher instruments plus message life-cycle gauges) as JSON on
@@ -45,8 +45,6 @@ func run(args []string) error {
 	height := fs.Int("height", 256, "image height")
 	sfm := fs.Bool("sfm", false, "publish serialization-free messages")
 	count := fs.Int("count", 0, "messages to publish (0 = forever)")
-	shards := fs.Int("shards", 0,
-		"egress shard count (>0 forces the sharded fan-out path, <0 disables it, 0 auto-shards on large fan-outs)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics JSON on this address (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,18 +77,14 @@ func run(args []string) error {
 	fmt.Printf("rospub: %s on %q, %dx%d rgb8 (%d KiB) at %d Hz, sfm=%v\n",
 		node.Name(), *topic, *width, *height, payload/1024, *rate, *sfm)
 
-	var pubOpts []ros.PubOption
-	if *shards != 0 {
-		pubOpts = append(pubOpts, ros.WithEgressShards(*shards))
-	}
 	if *sfm {
-		return publishSFM(node, *topic, *width, *height, interval, *count, pubOpts)
+		return publishSFM(node, *topic, *width, *height, interval, *count)
 	}
-	return publishRegular(node, *topic, *width, *height, interval, *count, pubOpts)
+	return publishRegular(node, *topic, *width, *height, interval, *count)
 }
 
-func publishRegular(node *ros.Node, topic string, w, h int, interval time.Duration, count int, opts []ros.PubOption) error {
-	pub, err := ros.Advertise[sensor_msgs.Image](node, topic, opts...)
+func publishRegular(node *ros.Node, topic string, w, h int, interval time.Duration, count int) error {
+	pub, err := ros.Advertise[sensor_msgs.Image](node, topic)
 	if err != nil {
 		return err
 	}
@@ -111,8 +105,8 @@ func publishRegular(node *ros.Node, topic string, w, h int, interval time.Durati
 	return nil
 }
 
-func publishSFM(node *ros.Node, topic string, w, h int, interval time.Duration, count int, opts []ros.PubOption) error {
-	pub, err := ros.Advertise[sensor_msgs.ImageSF](node, topic, opts...)
+func publishSFM(node *ros.Node, topic string, w, h int, interval time.Duration, count int) error {
+	pub, err := ros.Advertise[sensor_msgs.ImageSF](node, topic)
 	if err != nil {
 		return err
 	}

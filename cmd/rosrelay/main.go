@@ -1,6 +1,6 @@
 // Command rosrelay is a fan-out relay for one topic: it subscribes to
 // the topic's origin publisher(s), re-publishes every frame through its
-// own sharded egress, and registers itself in the master's graph as a
+// own egress, and registers itself in the master's graph as a
 // relay endpoint. Subscribers that see relay endpoints attach to
 // exactly one relay instead of the origin, so running N rosrelay
 // processes multiplies the topic's fan-out capacity N-fold — the origin
@@ -11,7 +11,7 @@
 //
 //	rosrelay -master 127.0.0.1:11311 -topic camera/image [-sfm]
 //	         [-type sensor_msgs/Image -md5 ...]   (default: resolved from the master)
-//	         [-shards 8] [-queue 64] [-metrics 127.0.0.1:0]
+//	         [-queue 64] [-metrics 127.0.0.1:0]
 //
 // With -metrics, the node serves its observability snapshot — including
 // the relay counters and the per-shard egress section — as JSON on
@@ -47,7 +47,6 @@ func run(args []string) error {
 	typeName := fs.String("type", "", "message type (default: resolved from the master)")
 	md5 := fs.String("md5", "", "type checksum (default: resolved from the master)")
 	sfm := fs.Bool("sfm", false, "relay the serialization-free wire regime")
-	shards := fs.Int("shards", 0, "egress shards for the relay's own fan-out (0 = default pool)")
 	queue := fs.Int("queue", 64, "relay publisher queue depth")
 	name := fs.String("name", "rosrelay", "node name registered with the master")
 	metricsAddr := fs.String("metrics", "", "serve /metrics JSON on this address (empty = off)")
@@ -97,11 +96,7 @@ func run(args []string) error {
 		fmt.Printf("rosrelay: metrics on %s\n", addr)
 	}
 
-	popts := []ros.PubOption{ros.WithQueueSize(*queue)}
-	if *shards > 0 {
-		popts = append(popts, ros.WithEgressShards(*shards))
-	}
-	relay, err := ros.NewRelay(node, *topic, *typeName, *md5, *sfm, popts...)
+	relay, err := ros.NewRelay(node, *topic, *typeName, *md5, *sfm, ros.WithQueueSize(*queue))
 	if err != nil {
 		return err
 	}

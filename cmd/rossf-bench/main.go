@@ -9,8 +9,7 @@
 //	rossf-bench fig18 [-frames N] [-width W] [-height H]
 //	rossf-bench table1
 //	rossf-bench ipc [-messages N] [-out BENCH_ipc.json]
-//	rossf-bench egress [-messages N] [-repeats N] [-out BENCH_egress.json]
-//	rossf-bench fanout [-messages N] [-repeats N] [-shards N] [-maxsubs N] [-out BENCH_fanout.json]
+//	rossf-bench fanout [-messages N] [-repeats N] [-maxsubs N] [-size B] [-subs N] [-out BENCH_fanout.json]
 //	rossf-bench netfield [-messages N] [-repeats N] [-fields a,b] [-out BENCH_netfield.json]
 //	rossf-bench ingress [-frames N] [-repeats N] [-goroutines N] [-topics N] [-out BENCH_ingress.json]
 //	rossf-bench failover [-entries N] [-topics N] [-lease D] [-out BENCH_failover.json]
@@ -44,7 +43,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: rossf-bench <fig13|fig14|fig16|fig18|table1|ipc|egress|fanout|netfield|ingress|failover|mutexsmoke|all> [flags]")
+		return fmt.Errorf("usage: rossf-bench <fig13|fig14|fig16|fig18|table1|ipc|fanout|netfield|ingress|failover|mutexsmoke|all> [flags]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -60,8 +59,6 @@ func run(args []string) error {
 		return runTable1(rest)
 	case "ipc":
 		return runIPC(rest)
-	case "egress":
-		return runEgress(rest)
 	case "fanout":
 		return runFanout(rest)
 	case "netfield":
@@ -77,7 +74,7 @@ func run(args []string) error {
 		// the 10000-subscriber cells fit under per-process FD limits.
 		return runFanoutDrain(rest)
 	case "all":
-		for _, c := range []func([]string) error{runFig13, runFig14, runFig16, runFig18, runTable1, runIPC, runEgress, runFanout, runNetfield, runIngress, runMutexSmoke} {
+		for _, c := range []func([]string) error{runFig13, runFig14, runFig16, runFig18, runTable1, runIPC, runFanout, runNetfield, runIngress, runMutexSmoke} {
 			if err := c(nil); err != nil {
 				return err
 			}
@@ -214,40 +211,12 @@ func runIPC(args []string) error {
 	return nil
 }
 
-func runEgress(args []string) error {
-	fs := flag.NewFlagSet("egress", flag.ContinueOnError)
-	messages := fs.Int("messages", 3000, "measured messages at the smallest payload size")
-	repeats := fs.Int("repeats", 3, "runs per cell; the best run is reported")
-	out := fs.String("out", "", "write the result as JSON to this file (e.g. BENCH_egress.json)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	res, err := bench.RunEgress(bench.EgressConfig{Messages: *messages, Repeats: *repeats})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	if *out != "" {
-		data, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
-}
-
 func runFanout(args []string) error {
 	fs := flag.NewFlagSet("fanout", flag.ContinueOnError)
 	messages := fs.Int("messages", 2000, "measured messages per run, before the byte-budget scaling")
-	repeats := fs.Int("repeats", 3, "runs per (cell, mode) below 1000 subscribers; the best run is reported")
-	shards := fs.Int("shards", 0, "egress shard count for the sharded runs (0 = library default)")
+	repeats := fs.Int("repeats", 3, "runs per cell below 10000 subscribers; the best run is reported")
 	maxsubs := fs.Int("maxsubs", 0, "largest fan-out in the matrix (0 = full matrix up to 10000)")
 	size := fs.Int("size", 0, "restrict the matrix to this payload size in bytes (0 = all sizes)")
-	maxbaseline := fs.Int("maxbaseline", 0, "largest fan-out also measured unsharded (0 = default 1000)")
 	subs := fs.Int("subs", 0, "restrict the matrix to this one subscriber count (0 = all)")
 	out := fs.String("out", "", "write the result as JSON to this file (e.g. BENCH_fanout.json)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the matrix to this file")
@@ -265,8 +234,7 @@ func runFanout(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	cfg := bench.FanoutConfig{Messages: *messages, Repeats: *repeats, Shards: *shards,
-		MaxBaselineSubs: *maxbaseline}
+	cfg := bench.FanoutConfig{Messages: *messages, Repeats: *repeats}
 	// Re-exec this binary as drain-worker children for cells whose
 	// connection count exceeds one process's FD limit.
 	if exe, err := os.Executable(); err == nil {

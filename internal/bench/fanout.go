@@ -23,16 +23,14 @@ import (
 	"rossf/internal/wire"
 )
 
-// FanoutConfig parameterizes the sharded fan-out matrix: one raw
-// publisher streaming under a credit window to N drain readers —
-// bare TCP connections (ros.DialDrain) whose frames are parsed in
-// place and counted, nothing else, so at ten thousand subscribers the
-// measurement stays on the egress, not on the harness. Each cell
-// runs twice: once with the classic per-connection write loops
-// (WithEgressShards(-1), the unsharded baseline) and once with the
-// shard pool; very large fan-outs skip the baseline — ten thousand
-// dedicated write-loop goroutines is the pathology the shards exist to
-// avoid, not a useful baseline.
+// FanoutConfig parameterizes the fan-out matrix: one raw publisher
+// streaming under a credit window to N drain readers — bare TCP
+// connections (ros.DialDrain) whose frames are parsed in place and
+// counted, nothing else, so at ten thousand subscribers the measurement
+// stays on the egress, not on the harness. The publisher is configured
+// like any application's: whether its shard pool comes up is its own
+// call, from its connection count (DESIGN §3.10), so each cell measures
+// what a publisher with that many subscribers gets.
 type FanoutConfig struct {
 	Sizes   []int // payload sizes in bytes
 	Fanouts []int // subscriber counts
@@ -42,15 +40,9 @@ type FanoutConfig struct {
 	Messages int
 	// BytesBudget bounds size*fanout*messages per run (default 4 GiB).
 	BytesBudget int64
-	// Repeats is runs per (cell, mode); the 10,000-subscriber cells
-	// run once (long runs self-average).
+	// Repeats is runs per cell; the 10,000-subscriber cells run once
+	// (long runs self-average).
 	Repeats int
-	// Shards is the pool size for the sharded runs (0 = the library
-	// default).
-	Shards int
-	// MaxBaselineSubs is the largest fan-out also measured unsharded
-	// (default 1000).
-	MaxBaselineSubs int
 
 	// Registry receives the transport instruments; the rows record
 	// frames-per-write from it as proof the batch path engaged.
@@ -85,9 +77,6 @@ func (c *FanoutConfig) fillDefaults() {
 	if c.Repeats == 0 {
 		c.Repeats = 3
 	}
-	if c.MaxBaselineSubs == 0 {
-		c.MaxBaselineSubs = 1000
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
@@ -105,56 +94,45 @@ func (c *FanoutConfig) messagesForCell(size, fanout int) int {
 	return n
 }
 
-// FanoutRow is one (size, fanout) cell of the matrix.
+// FanoutRow is one (size, fanout) cell of the matrix: the best of its
+// repeats.
 type FanoutRow struct {
 	SizeBytes   int `json:"size_bytes"`
 	Subscribers int `json:"subscribers"`
 	Messages    int `json:"messages"`
-	Shards      int `json:"shards"`
-
-	// UnshardedNsPerMsg is 0 when the baseline was skipped (see
-	// BaselineSkipped).
-	UnshardedNsPerMsg float64 `json:"unsharded_ns_per_msg,omitempty"`
-	ShardedNsPerMsg   float64 `json:"sharded_ns_per_msg"`
-	MsgsPerSec        float64 `json:"msgs_per_sec"`
-	MBPerSec          float64 `json:"mb_per_sec"` // aggregate across subscribers
-	// PublishNsPerMsg is the time spent inside the publish call itself
-	// (fan-out to queues; excludes flow-control waits). This is where
-	// the O(subscribers) vs O(shards) difference lives: end-to-end
+	// ShardedConns is how many of the subscribers the publisher's shard
+	// pool served; the rest had a write loop each.
+	ShardedConns int64   `json:"sharded_conns"`
+	NsPerMsg     float64 `json:"ns_per_msg"`
+	MsgsPerSec   float64 `json:"msgs_per_sec"`
+	MBPerSec     float64 `json:"mb_per_sec"` // aggregate across subscribers
+	// PublishNs is the time spent inside the publish call itself
+	// (fan-out to queues; excludes flow-control waits): the hot-path
+	// latency the publisher pays on every message, while end-to-end
 	// msgs/sec converges to the kernel's TCP byte ceiling once every
-	// core is busy, while the publish call stays hot-path latency the
-	// publisher pays on every message.
-	UnshardedPublishNs float64 `json:"unsharded_publish_ns_per_msg,omitempty"`
-	ShardedPublishNs   float64 `json:"sharded_publish_ns_per_msg"`
+	// core is busy.
+	PublishNs float64 `json:"publish_ns_per_msg"`
 	// P99LatencyUs is publish-to-callback latency at the canary
-	// readers during the sharded run, queueing included.
+	// readers, queueing included.
 	P99LatencyUs   float64 `json:"p99_latency_us"`
 	FramesPerWrite float64 `json:"frames_per_write"`
-	// Speedup is unsharded/sharded ns per message; 0 when the baseline
-	// was skipped.
-	Speedup         float64 `json:"speedup_vs_unsharded,omitempty"`
-	BaselineSkipped bool    `json:"baseline_skipped,omitempty"`
-	Skipped         string  `json:"skipped,omitempty"` // non-empty: cell not run (reason)
+	Skipped        string  `json:"skipped,omitempty"` // non-empty: cell not run (reason)
 }
 
 // FanoutResult is the full matrix, serialized to BENCH_fanout.json.
 type FanoutResult struct {
-	Baseline string      `json:"baseline"`
-	Shards   int         `json:"shards"`
-	Notes    string      `json:"notes,omitempty"`
-	Rows     []FanoutRow `json:"rows"`
+	Notes string      `json:"notes,omitempty"`
+	Rows  []FanoutRow `json:"rows"`
 }
 
-// fanoutNotes tells a reader of BENCH_fanout.json how to interpret the
-// two speedup columns, in particular on small hosts where the
-// end-to-end number is a kernel measurement, not a middleware one.
+// fanoutNotes tells a reader of BENCH_fanout.json how to read the
+// columns, in particular on small hosts where the end-to-end number is
+// a kernel measurement, not a middleware one.
 const fanoutNotes = "msgs_per_sec is end-to-end wall throughput and converges to the kernel's " +
-	"TCP byte ceiling once every core is saturated — on one- or two-core hosts the sharded " +
-	"and unsharded paths push the same bytes through the same kernel and the ratio compresses " +
-	"toward 1x at small payloads. publish_ns_per_msg isolates the middleware's own per-publish " +
-	"cost (the publisher's fan-out loop: O(subscribers) queue pushes unsharded vs O(shards) " +
-	"handoffs sharded) and is host-independent; p99_latency_us includes the harness's full " +
-	"credit-window queueing, not just transport latency."
+	"TCP byte ceiling once every core is saturated. publish_ns_per_msg isolates the middleware's " +
+	"own per-publish cost (the fan-out loop: one queue push per write-loop subscriber, one " +
+	"handoff per shard once the pool is up, see sharded_conns); p99_latency_us includes the " +
+	"harness's full credit-window queueing, not just transport latency."
 
 // JSON renders the result for BENCH_fanout.json.
 func (r *FanoutResult) JSON() ([]byte, error) {
@@ -168,34 +146,18 @@ func (r *FanoutResult) JSON() ([]byte, error) {
 // Format renders the matrix as a table.
 func (r *FanoutResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fanout — sharded egress vs per-connection write loops, %d shards\n", r.Shards)
-	fmt.Fprintf(&b, "  baseline: %s\n", r.Baseline)
-	fmt.Fprintf(&b, "  %-10s %-7s %14s %14s %12s %12s %12s %10s %12s %12s\n",
-		"size", "subs", "unshard ns", "shard ns", "msgs/s", "agg MB/s", "p99 µs", "speedup",
-		"pub ns/msg", "pub speedup")
+	fmt.Fprintf(&b, "Fanout — one publisher streaming to N TCP subscribers\n")
+	fmt.Fprintf(&b, "  %-10s %-7s %8s %12s %12s %12s %12s %12s %10s\n",
+		"size", "subs", "sharded", "ns/msg", "msgs/s", "agg MB/s", "p99 µs", "pub ns/msg", "frames/wr")
 	for _, row := range r.Rows {
 		if row.Skipped != "" {
 			fmt.Fprintf(&b, "  %-10s %-7d skipped: %s\n",
 				formatBytes(row.SizeBytes), row.Subscribers, row.Skipped)
 			continue
 		}
-		unshard, speedup, pubSpeedup := "-", "-", "-"
-		if !row.BaselineSkipped {
-			unshard = fmt.Sprintf("%.0f", row.UnshardedNsPerMsg)
-			speedup = fmt.Sprintf("%.2fx", row.Speedup)
-			if row.ShardedPublishNs > 0 {
-				r := row.UnshardedPublishNs / row.ShardedPublishNs
-				if r >= 100 {
-					pubSpeedup = fmt.Sprintf("%.0fx", r)
-				} else {
-					pubSpeedup = fmt.Sprintf("%.2fx", r)
-				}
-			}
-		}
-		fmt.Fprintf(&b, "  %-10s %-7d %14s %14.0f %12.0f %12.1f %12.0f %10s %12.0f %12s\n",
-			formatBytes(row.SizeBytes), row.Subscribers, unshard, row.ShardedNsPerMsg,
-			row.MsgsPerSec, row.MBPerSec, row.P99LatencyUs, speedup,
-			row.ShardedPublishNs, pubSpeedup)
+		fmt.Fprintf(&b, "  %-10s %-7d %8d %12.0f %12.0f %12.1f %12.0f %12.0f %10.1f\n",
+			formatBytes(row.SizeBytes), row.Subscribers, row.ShardedConns, row.NsPerMsg,
+			row.MsgsPerSec, row.MBPerSec, row.P99LatencyUs, row.PublishNs, row.FramesPerWrite)
 	}
 	return b.String()
 }
@@ -242,18 +204,10 @@ func fdLimit() uint64 {
 func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	cfg.fillDefaults()
 	raiseFDLimit()
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 8
-	}
-	res := &FanoutResult{
-		Baseline: "classic per-connection write loops with batched egress (ros.WithEgressShards(-1)); skipped above the largest baseline fan-out",
-		Shards:   shards,
-		Notes:    fanoutNotes,
-	}
+	res := &FanoutResult{Notes: fanoutNotes}
 	for _, size := range cfg.Sizes {
 		for _, fanout := range cfg.Fanouts {
-			row, err := runFanoutCell(size, fanout, shards, cfg)
+			row, err := runFanoutCell(size, fanout, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fanout %s/%d: %w", formatBytes(size), fanout, err)
 			}
@@ -263,11 +217,9 @@ func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	return res, nil
 }
 
-func runFanoutCell(size, fanout, shards int, cfg FanoutConfig) (FanoutRow, error) {
+func runFanoutCell(size, fanout int, cfg FanoutConfig) (FanoutRow, error) {
 	n := cfg.messagesForCell(size, fanout)
-	row := FanoutRow{SizeBytes: size, Subscribers: fanout, Messages: n, Shards: shards,
-		UnshardedNsPerMsg: math.Inf(1), ShardedNsPerMsg: math.Inf(1),
-		UnshardedPublishNs: math.Inf(1), ShardedPublishNs: math.Inf(1)}
+	row := FanoutRow{SizeBytes: size, Subscribers: fanout, Messages: n}
 
 	// Both connection ends live in this process unless the drains are
 	// pushed to worker processes: 2 FDs per subscriber plus
@@ -279,11 +231,8 @@ func runFanoutCell(size, fanout, shards int, cfg FanoutConfig) (FanoutRow, error
 	if !inProcOK && !splitOK {
 		row.Skipped = fmt.Sprintf("needs ~%d file descriptors, limit is %d and no drain worker configured",
 			2*fanout+64, limit)
-		row.UnshardedNsPerMsg, row.ShardedNsPerMsg = 0, 0
-		row.UnshardedPublishNs, row.ShardedPublishNs = 0, 0
 		return row, nil
 	}
-	row.BaselineSkipped = fanout > cfg.MaxBaselineSubs
 
 	// Only the very largest cells are too slow to repeat; the
 	// 1000-subscriber cells keep their repeats — single runs there
@@ -293,39 +242,25 @@ func runFanoutCell(size, fanout, shards int, cfg FanoutConfig) (FanoutRow, error
 		repeats = 1
 	}
 	before := cfg.Registry.Snapshot().Egress
-	var p99 float64
+	row.NsPerMsg, row.PublishNs = math.Inf(1), math.Inf(1)
 	for rep := 0; rep < repeats; rep++ {
-		if !row.BaselineSkipped {
-			r, err := runFanoutOnce(size, fanout, n, -1, !inProcOK, cfg)
-			if err != nil {
-				return row, fmt.Errorf("unsharded: %w", err)
-			}
-			row.UnshardedNsPerMsg = math.Min(row.UnshardedNsPerMsg, r.nsPerMsg)
-			row.UnshardedPublishNs = math.Min(row.UnshardedPublishNs, r.publishNs)
-		}
-		r, err := runFanoutOnce(size, fanout, n, shards, !inProcOK, cfg)
+		r, err := runFanoutOnce(size, fanout, n, !inProcOK, cfg)
 		if err != nil {
-			return row, fmt.Errorf("sharded: %w", err)
+			return row, err
 		}
-		row.ShardedPublishNs = math.Min(row.ShardedPublishNs, r.publishNs)
-		if r.nsPerMsg < row.ShardedNsPerMsg {
-			row.ShardedNsPerMsg = r.nsPerMsg
-			p99 = r.p99
+		row.PublishNs = math.Min(row.PublishNs, r.publishNs)
+		row.ShardedConns = r.shardedConns
+		if r.nsPerMsg < row.NsPerMsg {
+			row.NsPerMsg = r.nsPerMsg
+			row.P99LatencyUs = r.p99 / 1e3
 		}
 	}
 	after := cfg.Registry.Snapshot().Egress
 	if writes := after.Writes - before.Writes; writes > 0 {
 		row.FramesPerWrite = float64(after.Frames-before.Frames) / float64(writes)
 	}
-	row.MsgsPerSec = 1e9 / row.ShardedNsPerMsg
-	row.MBPerSec = float64(size) * float64(fanout) / row.ShardedNsPerMsg * 1e9 / 1e6
-	row.P99LatencyUs = p99 / 1e3
-	if row.BaselineSkipped {
-		row.UnshardedNsPerMsg = 0
-		row.UnshardedPublishNs = 0
-	} else {
-		row.Speedup = row.UnshardedNsPerMsg / row.ShardedNsPerMsg
-	}
+	row.MsgsPerSec = 1e9 / row.NsPerMsg
+	row.MBPerSec = float64(size) * float64(fanout) / row.NsPerMsg * 1e9 / 1e6
 	return row, nil
 }
 
@@ -405,9 +340,10 @@ func (r *fanoutReader) run(conn net.Conn, size, warmup int, canary bool) {
 
 // fanoutRun is one measured topology run.
 type fanoutRun struct {
-	nsPerMsg  float64 // wall-clock ns per published message
-	p99       float64 // canary p99 delivery latency, ns
-	publishNs float64 // ns inside the publish call itself, per message
+	nsPerMsg     float64 // wall-clock ns per published message
+	p99          float64 // canary p99 delivery latency, ns
+	publishNs    float64 // ns inside the publish call itself, per message
+	shardedConns int64   // subscribers the shard pool served
 }
 
 // drainChild is a worker process draining a block of subscriber
@@ -527,10 +463,10 @@ func RunFanoutDrain(addr string, conns, size int) error {
 	}
 }
 
-// runFanoutOnce stands up one topology (shards < 0: classic loops) and
-// measures one streaming run. With split set, only the canary drains
-// run in this process; the rest live in drain-worker subprocesses.
-func runFanoutOnce(size, fanout, n, shards int, split bool, cfg FanoutConfig) (fanoutRun, error) {
+// runFanoutOnce stands up one topology and measures one streaming run.
+// With split set, only the canary drains run in this process; the rest
+// live in drain-worker subprocesses.
+func runFanoutOnce(size, fanout, n int, split bool, cfg FanoutConfig) (fanoutRun, error) {
 	var zero fanoutRun
 	master := ros.NewLocalMaster()
 	node, err := ros.NewNode("fanout_pub", ros.WithMaster(master), ros.WithMetrics(cfg.Registry))
@@ -539,7 +475,7 @@ func runFanoutOnce(size, fanout, n, shards int, split bool, cfg FanoutConfig) (f
 	}
 	defer node.Close()
 	pub, err := ros.AdvertiseRaw(node, fanoutTopic, fanoutType, fanoutMD5, false, true,
-		ros.WithEgressShards(shards), ros.WithQueueSize(fanoutQueueSize))
+		ros.WithQueueSize(fanoutQueueSize))
 	if err != nil {
 		return zero, err
 	}
@@ -638,6 +574,9 @@ func runFanoutOnce(size, fanout, n, shards int, split bool, cfg FanoutConfig) (f
 	if err := waitSubscribers(pub.NumSubscribers, fanout); err != nil {
 		return zero, err
 	}
+	// The registry's gauge, read while this run's connections are all up
+	// and no other publisher lives: how many of them the pool took.
+	shardedConns := cfg.Registry.Snapshot().Egress.Fanout.ShardedConns
 
 	// Frame ring: a frame handed to PublishFrame stays referenced until
 	// the slowest queue drains it, so the ring must outsize every
@@ -727,9 +666,10 @@ func runFanoutOnce(size, fanout, n, shards int, split bool, cfg FanoutConfig) (f
 		samples = append(samples, readers[i].samples...)
 	}
 	return fanoutRun{
-		nsPerMsg:  float64(elapsed) / float64(n),
-		p99:       percentile(samples, 0.99),
-		publishNs: float64(publishTime) / float64(n),
+		nsPerMsg:     float64(elapsed) / float64(n),
+		p99:          percentile(samples, 0.99),
+		publishNs:    float64(publishTime) / float64(n),
+		shardedConns: shardedConns,
 	}, nil
 }
 

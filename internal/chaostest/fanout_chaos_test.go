@@ -211,12 +211,18 @@ func TestRelayKillChildHelper(t *testing.T) {
 // sharded egress: one subscriber in a shard pool wedges (its link
 // stalls every read, so the kernel buffers fill and the publisher's
 // vectored write blocks). The write deadline must cut the wedged
-// member loose, its shard-mates must lose nothing (the shard queue
-// absorbs the bounded stall), and the other shard must never notice.
+// member loose, its shard-mate must lose nothing (the shard queue
+// absorbs the bounded stall), and the other shards must never notice.
+//
+// The pool comes up on its own once the publisher has as many
+// connections as the shard threshold (64), and stays up: fillers take
+// the first 64 write loops and leave once the pool holds the healthy
+// subscribers and the wedged one, two members to each of its 8 shards.
 func TestStalledShardMemberIsolated(t *testing.T) {
 	const (
 		size    = 64 << 10 // large frames fill the kernel buffers fast
-		healthy = 4
+		fillers = 64       // the publisher's shard threshold
+		healthy = 15       // with the wedged one, two members in each of 8 shards
 	)
 
 	checkGoroutines(t)
@@ -246,12 +252,21 @@ func TestStalledShardMemberIsolated(t *testing.T) {
 	t.Cleanup(func() { stallNode.Close() })
 
 	pub, err := ros.Advertise[std_msgs.String](pubNode, "/chaos/stall_shard",
-		ros.WithEgressShards(2), ros.WithQueueSize(256),
-		ros.WithWriteTimeout(150*time.Millisecond))
+		ros.WithQueueSize(256), ros.WithWriteTimeout(150*time.Millisecond))
 	if err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
 
+	fill := make([]*ros.Subscriber, fillers)
+	for i := range fill {
+		if fill[i], err = ros.Subscribe(healthyNode, "/chaos/stall_shard", func(*std_msgs.String) {},
+			ros.WithTransport(ros.TransportTCP)); err != nil {
+			t.Fatalf("Subscribe(filler %d): %v", i, err)
+		}
+	}
+	eventually(t, 10*time.Second, "the fillers attached", func() bool {
+		return pub.NumSubscribers() == fillers
+	})
 	recs := make([]*receiver, healthy)
 	for i := range recs {
 		recs[i] = newReceiver(size)
@@ -262,6 +277,9 @@ func TestStalledShardMemberIsolated(t *testing.T) {
 			t.Fatalf("Subscribe(healthy %d): %v", i, err)
 		}
 	}
+	eventually(t, 10*time.Second, "the healthy subscribers attached", func() bool {
+		return pub.NumSubscribers() == fillers+healthy
+	})
 	stalled := newReceiver(size)
 	stallStates := &stateRecorder{}
 	stallSub, err := ros.Subscribe(stallNode, "/chaos/stall_shard", func(m *std_msgs.String) {
@@ -271,9 +289,17 @@ func TestStalledShardMemberIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe(stalled): %v", err)
 	}
-	eventually(t, 10*time.Second, "all five subscribers attached", func() bool {
-		return pub.NumSubscribers() == healthy+1
+	eventually(t, 10*time.Second, "the wedged subscriber attached", func() bool {
+		return pub.NumSubscribers() == fillers+healthy+1
 	})
+	if f := reg.Snapshot().Egress.Fanout; f.ActiveShards != 8 || f.ShardedConns != healthy+1 {
+		t.Fatalf("pool: %d shards serving %d subscribers, want 8 serving %d",
+			f.ActiveShards, f.ShardedConns, healthy+1)
+	}
+	// The fillers' write loops notice they left at the pump's first writes.
+	for _, s := range fill {
+		s.Close()
+	}
 
 	// Pump until the wedged member has been cut loose: the kernel
 	// buffers fill, the write deadline fires, and the shard drops the

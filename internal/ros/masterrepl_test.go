@@ -213,6 +213,15 @@ func TestStandbyPromotesAndClientFailsOver(t *testing.T) {
 		}
 		return false
 	})
+	// A read is answered on any session, including one whose replay the
+	// standby refused just before it promoted; the client drops such a
+	// session and dials again, and a write sent meanwhile fails fast.
+	// So the answer above does not mean the client is through its
+	// failover: wait on the client's own instrument, which counts a
+	// replay once the whole log has landed on a master that took it.
+	eventually(t, "replay counted by the client", func() bool {
+		return reg.Snapshot().Graph.Replays >= 1
+	})
 	if pubCount.Load() != 1 {
 		t.Errorf("watcher sees %d publishers after failover, want 1", pubCount.Load())
 	}

@@ -36,10 +36,9 @@ type pubConfig struct {
 	queueSize    int
 	latch        bool
 	writeTimeout time.Duration
-	// egressShards: 0 = auto (shard pool once the connection count
-	// crosses autoShardThreshold), > 0 = forced pool of that many shards
-	// from the first connection, < 0 = sharding disabled.
-	egressShards int
+	// shards is when the endpoint brings up its shard pool, and how
+	// big; every endpoint gets defaultShardPolicy, and only tests move it.
+	shards shardPolicy
 	// relay marks the advertisement as a relay endpoint in the master's
 	// graph (set by the relay tier, not by applications).
 	relay bool
@@ -67,19 +66,6 @@ func WithLatch() PubOption {
 // of wedging the publisher. d <= 0 disables the deadline.
 func WithWriteTimeout(d time.Duration) PubOption {
 	return func(c *pubConfig) { c.writeTimeout = d }
-}
-
-// WithEgressShards controls sharded egress fan-out (see shard.go).
-// n > 0 forces a pool of n shards serving every TCP subscriber from
-// the first; n == 0 (the default) brings the pool up automatically
-// once more than autoShardThreshold TCP subscribers attach; n < 0
-// disables sharding so every subscriber keeps a dedicated write loop
-// (the classic path, and the baseline the fan-out benchmark measures
-// against). Shm-negotiated connections always use dedicated loops:
-// their descriptors are minted per peer and cannot share a shard's
-// encode-once batch.
-func WithEgressShards(n int) PubOption {
-	return func(c *pubConfig) { c.egressShards = n }
 }
 
 // Publisher publishes messages of type *T on one topic. Create with
@@ -113,7 +99,8 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 // in the connection header: the process's native order, or the recorded
 // order when a raw publisher replays frames.
 func newPubEndpoint(n *Node, topic, typeName, md5 string, sfm bool, endianName string, opts []PubOption) (*pubEndpoint, error) {
-	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout}
+	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout,
+		shards: defaultShardPolicy}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -126,7 +113,7 @@ func newPubEndpoint(n *Node, topic, typeName, md5 string, sfm bool, endianName s
 		queueSize:    cfg.queueSize,
 		latch:        cfg.latch,
 		writeTimeout: cfg.writeTimeout,
-		egressShards: cfg.egressShards,
+		shards:       cfg.shards,
 		endianName:   endianName,
 		stats:        n.metrics.Publisher(topic),
 		att:          &attachments{},
@@ -339,11 +326,11 @@ type pubEndpoint struct {
 	endianName string
 	unregister func()
 	stats      *obs.PubStats // nil when the node's metrics are disabled
-	// egressShards is the sharding config (see WithEgressShards);
-	// poolActive mirrors pool != nil so the publish path can decide to
-	// pre-hash outside the lock.
-	egressShards int
-	poolActive   atomic.Bool
+	// shards is the sharding policy (shard.go); poolActive mirrors
+	// pool != nil so the publish path can decide to pre-hash outside
+	// the lock.
+	shards     shardPolicy
+	poolActive atomic.Bool
 
 	// shmFallbacks counts this endpoint's per-message inline fallbacks
 	// on shm-negotiated connections; shmFallbackWarned arms the
@@ -654,14 +641,9 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 	// enqueue and the pool bring-up all happen inside this critical
 	// section, so a concurrent publish either precedes the join (lastSeq
 	// covers it) or follows the latch in the shard's queue.
-	if a.mode == modePlain && ep.egressShards >= 0 &&
-		(ep.pool != nil || ep.egressShards > 0 || len(ep.att.conns) >= autoShardThreshold) {
+	if a.mode == modePlain && (ep.pool != nil || len(ep.att.conns) >= ep.shards.at) {
 		if ep.pool == nil {
-			n := ep.egressShards
-			if n == 0 {
-				n = defaultShardCount
-			}
-			ep.pool = newEgressShardPool(ep, n)
+			ep.pool = newEgressShardPool(ep, ep.shards.n)
 			ep.poolActive.Store(true)
 		}
 		s := ep.pool.join(pc)

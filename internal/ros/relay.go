@@ -8,11 +8,11 @@ import (
 )
 
 // Relay is one topic's fan-out relay: it subscribes to the origin
-// publisher(s), re-publishes every frame through its own (sharded)
-// egress, and registers itself in the master's graph with the Relay
-// flag. Subscribers that see relay endpoints attach to exactly one
-// relay instead of the origin (see PublisherInfo.Relay), so a fleet of
-// relays multiplies a publisher's fan-out capacity: the origin serves
+// publisher(s), re-publishes every frame through its own egress, and
+// registers itself in the master's graph with the Relay flag.
+// Subscribers that see relay endpoints attach to exactly one relay
+// instead of the origin (see PublisherInfo.Relay), so a fleet of relays
+// multiplies a publisher's fan-out capacity: the origin serves
 // the relays, each relay serves a slice of the subscriber population.
 // cmd/rosrelay wraps this type in a standalone process.
 //
@@ -37,17 +37,13 @@ func asRelay() PubOption {
 }
 
 // NewRelay builds a relay for topic with the given binding. The relay's
-// own advertisement defaults to sharded egress from the first
-// subscriber (override with WithEgressShards among opts); its upstream
-// subscription uses WithoutRelay so chains of relays feed from the
-// origin, never from each other.
+// own advertisement fans out like any publisher's (its shard pool comes
+// up with its subscriber count, shard.go); its upstream subscription
+// uses WithoutRelay so chains of relays feed from the origin, never
+// from each other.
 func NewRelay(n *Node, topic, typeName, md5 string, sfm bool, opts ...PubOption) (*Relay, error) {
-	popts := make([]PubOption, 0, len(opts)+2)
-	popts = append(popts, WithEgressShards(defaultShardCount))
-	popts = append(popts, opts...)
-	popts = append(popts, asRelay())
-	pub, err := AdvertiseRaw(n, topic, typeName, md5, sfm,
-		core.NativeLittleEndian(), popts...)
+	opts = append(opts[:len(opts):len(opts)], asRelay()) // never into the caller's array
+	pub, err := AdvertiseRaw(n, topic, typeName, md5, sfm, core.NativeLittleEndian(), opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -40,17 +40,23 @@ import (
 // gate and the claim give at-most-once delivery per sequence with no
 // gaps introduced by the move itself (queue-overflow drops remain
 // legal, as on the classic path).
+//
+// When to shard is the endpoint's call alone, from the one thing it can
+// observe, its connection count; there is no option. With few
+// subscribers a pool buys nothing measurable — at one subscriber a
+// publish wakes every shard to write one socket — so the pool comes up
+// at autoShardThreshold and stays for the endpoint's life
+// (EXPERIMENTS.md, "The publisher alone decides when to shard").
 const (
-	// defaultShardCount is the pool size used by auto mode and by
-	// WithEgressShards(0). Shards are write loops, not CPUs: each one
-	// multiplexes hundreds of sockets, so a small pool is enough to keep
-	// the kernel busy while bounding per-publish wakeups.
+	// defaultShardCount is the pool size. Shards are write loops, not
+	// CPUs: each one multiplexes hundreds of sockets, so a small pool is
+	// enough to keep the kernel busy while bounding per-publish wakeups.
 	defaultShardCount = 8
 
 	// autoShardThreshold is the TCP-connection count at which an
-	// auto-mode endpoint brings up its shard pool; connections beyond
-	// this many are served by shards while the first ones keep their
-	// dedicated write loops.
+	// endpoint brings up its shard pool; connections beyond this many
+	// are served by shards while the first ones keep their dedicated
+	// write loops.
 	autoShardThreshold = 64
 
 	// Shard batches run deeper than the classic per-connection caps
@@ -70,6 +76,13 @@ const (
 	// losses under short bursts.
 	shardQueueFloor = 64
 )
+
+// shardPolicy is when an endpoint brings up its shard pool (once at
+// connections are attached) and how many shards the pool gets.
+type shardPolicy struct{ at, n int }
+
+// defaultShardPolicy is every endpoint's policy; only tests lower it.
+var defaultShardPolicy = shardPolicy{at: autoShardThreshold, n: defaultShardCount}
 
 // shardItem is one entry in a shard's queue: a broadcast frame (seq set,
 // the common case), a targeted frame for one member (latched delivery

@@ -2,8 +2,10 @@ package ros
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,6 +51,13 @@ func guardGoroutines(t *testing.T) {
 		}
 		t.Errorf("goroutine leak: %d at start, %d after teardown", base, n)
 	})
+}
+
+// withShardPolicy moves when the endpoint brings up its shard pool and
+// how many shards it gets, so a test drives the pool with a handful of
+// subscribers instead of autoShardThreshold of them.
+func withShardPolicy(at, n int) PubOption {
+	return func(c *pubConfig) { c.shards = shardPolicy{at: at, n: n} }
 }
 
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
@@ -158,7 +167,7 @@ func checkContiguous(t *testing.T, who string, seqs []uint64) {
 }
 
 // TestShardedFanoutThousandByteForByte is the headline property: one
-// publisher with a forced shard pool fanning out to a thousand TCP
+// publisher with a shard pool from its first subscriber fanning out to a thousand TCP
 // subscribers, every one of which must observe the identical
 // sequence-numbered stream byte for byte, with all gauges returning to
 // zero afterwards.
@@ -175,7 +184,7 @@ func TestShardedFanoutThousandByteForByte(t *testing.T) {
 	subNode := shardNode(t, "sub", m, reg)
 
 	pub, err := AdvertiseRaw(pubNode, "fan/out", "shard_test/Raw", "a0"+"0011223344556677889900112233", false, true,
-		WithEgressShards(4), WithQueueSize(64))
+		withShardPolicy(0, 4), WithQueueSize(64))
 	if err != nil {
 		t.Fatalf("AdvertiseRaw: %v", err)
 	}
@@ -196,7 +205,7 @@ func TestShardedFanoutThousandByteForByte(t *testing.T) {
 
 	ep := pub.ep
 	if !ep.poolActive.Load() {
-		t.Fatal("forced shard pool not active")
+		t.Fatal("shard pool not active")
 	}
 	if got := len(ep.pool.shards); got != 4 {
 		t.Fatalf("shard count = %d, want 4", got)
@@ -287,7 +296,7 @@ func TestShardRebalanceChurn(t *testing.T) {
 	)
 
 	pub, err := AdvertiseRaw(pubNode, "churn/out", "shard_test/Raw", "b0"+"0011223344556677889900112233", false, true,
-		WithEgressShards(4), WithQueueSize(256))
+		withShardPolicy(0, 4), WithQueueSize(256))
 	if err != nil {
 		t.Fatalf("AdvertiseRaw: %v", err)
 	}
@@ -530,7 +539,7 @@ func TestShardedSFMLatchLateJoiner(t *testing.T) {
 	subNode := shardNode(t, "sub", m, reg)
 
 	pub, err := Advertise[shardImgSF](pubNode, "sfm/latched",
-		WithEgressShards(2), WithLatch())
+		withShardPolicy(0, 2), WithLatch())
 	if err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
@@ -562,7 +571,7 @@ func TestShardedSFMLatchLateJoiner(t *testing.T) {
 		return pub.NumSubscribers() == 2
 	})
 	if !pub.ep.poolActive.Load() {
-		t.Fatal("WithEgressShards(2) did not activate the pool")
+		t.Fatal("a two-shard pool from the first subscriber did not activate")
 	}
 
 	publish := func(seq uint64, fill byte, n int) uint64 {
@@ -629,39 +638,69 @@ func TestShardedSFMLatchLateJoiner(t *testing.T) {
 	}
 }
 
-// TestShardAutoThreshold checks auto mode: the pool appears only once
-// the connection count crosses autoShardThreshold, earlier connections
-// keep their dedicated write loops, and both populations receive the
-// same stream.
+// TestShardAutoThreshold checks the sharding policy: the pool appears
+// only once the connection count crosses autoShardThreshold, earlier
+// connections keep their dedicated write loops, and both populations
+// receive the same stream. A relay's own fan-out follows the same
+// policy as any publisher's.
 func TestShardAutoThreshold(t *testing.T) {
+	t.Run("publisher", func(t *testing.T) { testShardAutoThreshold(t, false) })
+	t.Run("relay", func(t *testing.T) { testShardAutoThreshold(t, true) })
+}
+
+func testShardAutoThreshold(t *testing.T, relayed bool) {
 	guardGoroutines(t)
 	reg := obs.NewRegistry()
 	m := NewLocalMaster()
 	pubNode := shardNode(t, "pub", m, reg)
 	subNode := shardNode(t, "sub", m, reg)
 
-	const nSubs = autoShardThreshold + 8
+	const (
+		nSubs              = autoShardThreshold + 8
+		topic, typ, md5sum = "auto/out", "shard_test/Raw", "c0" + "0011223344556677889900112233"
+	)
 
-	pub, err := AdvertiseRaw(pubNode, "auto/out", "shard_test/Raw", "c0"+"0011223344556677889900112233", false, true)
+	pub, err := AdvertiseRaw(pubNode, topic, typ, md5sum, false, true)
 	if err != nil {
 		t.Fatalf("AdvertiseRaw: %v", err)
 	}
 	defer pub.Close()
-
-	recs := make([]*shardRecorder, nSubs)
-	for i := range recs {
-		recs[i] = &shardRecorder{}
-		s, err := SubscribeRaw(subNode, "auto/out", "shard_test/Raw", "c0"+"0011223344556677889900112233", false, recs[i].onRaw)
-		if err != nil {
-			t.Fatalf("SubscribeRaw #%d: %v", i, err)
-		}
-		defer s.Close()
-	}
-	waitFor(t, 30*time.Second, "all subscribers connected", func() bool {
-		return pub.NumSubscribers() == nSubs
-	})
-
+	// ep is the endpoint the subscribers attach to: the publisher's own,
+	// or the relay's, which plain subscribers prefer to the origin.
 	ep := pub.ep
+	if relayed {
+		relay, err := NewRelay(shardNode(t, "relay", m, reg), topic, typ, md5sum, false)
+		if err != nil {
+			t.Fatalf("NewRelay: %v", err)
+		}
+		defer relay.Close()
+		waitFor(t, 10*time.Second, "relay attached upstream", func() bool {
+			return relay.NumPublishers() == 1 && pub.NumSubscribers() == 1
+		})
+		ep = relay.pub.ep
+	}
+
+	recs := make([]*shardRecorder, 0, nSubs)
+	subscribe := func(k int) {
+		for i := 0; i < k; i++ {
+			r := &shardRecorder{}
+			s, err := SubscribeRaw(subNode, topic, typ, md5sum, false, r.onRaw)
+			if err != nil {
+				t.Fatalf("SubscribeRaw #%d: %v", len(recs), err)
+			}
+			t.Cleanup(s.Close)
+			recs = append(recs, r)
+		}
+		waitFor(t, 30*time.Second, "subscribers connected", func() bool {
+			return ep.numSubscribers() == len(recs)
+		})
+	}
+	subscribe(autoShardThreshold)
+	if ep.poolActive.Load() {
+		t.Fatalf("pool up at %d subscribers, not past the threshold", autoShardThreshold)
+	}
+	subscribe(nSubs - autoShardThreshold)
+
 	if !ep.poolActive.Load() {
 		t.Fatal("auto mode never activated the pool above the threshold")
 	}
@@ -700,37 +739,74 @@ func TestShardAutoThreshold(t *testing.T) {
 	}
 }
 
-// TestShardingDisabled pins the opt-out: WithEgressShards(-1) keeps
-// every connection on the classic per-connection write loop no matter
-// how the fan-out grows.
-func TestShardingDisabled(t *testing.T) {
+// TestLiveShardRowsRender checks the /metrics side of a live pool: a
+// publisher whose two-shard pool serves its TCP subscriber renders the
+// fan-out section with one row per shard, every row carries its
+// counters, and the rows add up to the frames written.
+func TestLiveShardRowsRender(t *testing.T) {
 	guardGoroutines(t)
 	reg := obs.NewRegistry()
 	m := NewLocalMaster()
-	pubNode := shardNode(t, "pub", m, reg)
+	pubNode, err := NewNode("pub", WithMaster(m), WithMetrics(reg), WithMetricsAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("NewNode: %v", err)
+	}
+	defer pubNode.Close()
 	subNode := shardNode(t, "sub", m, reg)
 
-	pub, err := AdvertiseRaw(pubNode, "plain/out", "shard_test/Raw", "d0"+"0011223344556677889900112233", false, true,
-		WithEgressShards(-1))
+	const topic, typ, md5sum = "rows/out", "shard_test/Raw", "f0" + "0011223344556677889900112233"
+	pub, err := AdvertiseRaw(pubNode, topic, typ, md5sum, false, true, withShardPolicy(0, 2))
 	if err != nil {
 		t.Fatalf("AdvertiseRaw: %v", err)
 	}
 	defer pub.Close()
-
 	rec := &shardRecorder{}
-	s, err := SubscribeRaw(subNode, "plain/out", "shard_test/Raw", "d0"+"0011223344556677889900112233", false, rec.onRaw)
+	s, err := SubscribeRaw(subNode, topic, typ, md5sum, false, rec.onRaw)
 	if err != nil {
 		t.Fatalf("SubscribeRaw: %v", err)
 	}
 	defer s.Close()
-	waitFor(t, 10*time.Second, "subscriber connected", func() bool {
-		return pub.NumSubscribers() == 1
-	})
-	if pub.ep.poolActive.Load() {
-		t.Fatal("WithEgressShards(-1) still built a pool")
-	}
+	waitFor(t, 10*time.Second, "subscriber connected", func() bool { return pub.NumSubscribers() == 1 })
 	if err := pub.PublishFrame(shardFrame(0, shardFrameSize(0))); err != nil {
 		t.Fatalf("PublishFrame: %v", err)
 	}
 	waitFor(t, 10*time.Second, "delivery", func() bool { return rec.count() == 1 })
+
+	resp, err := http.Get("http://" + pubNode.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	var doc struct {
+		Obs struct {
+			Egress struct {
+				Fanout struct {
+					ActiveShards json.Number              `json:"active_shards"`
+					Shards       []map[string]json.Number `json:"shards"`
+				} `json:"fanout"`
+			} `json:"egress"`
+		} `json:"obs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode /metrics: %v", err)
+	}
+	fanout := doc.Obs.Egress.Fanout
+	if fanout.ActiveShards != "2" || len(fanout.Shards) != 2 {
+		t.Fatalf("fanout section: active_shards=%s, %d shard rows; want 2 and 2",
+			fanout.ActiveShards, len(fanout.Shards))
+	}
+	var frames int64
+	for i, row := range fanout.Shards {
+		for _, key := range []string{"conns", "frames", "writes", "bytes"} {
+			if _, ok := row[key]; !ok {
+				t.Errorf("shard row %d lacks %q: %v", i, key, row)
+			}
+		}
+		n, _ := row["frames"].Int64()
+		frames += n
+	}
+	if frames == 0 {
+		t.Error("the shard rows count no frames after a delivery")
+	}
 }

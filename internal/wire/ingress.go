@@ -25,9 +25,9 @@ import (
 // the capacity (up to IngressMaxBuffer) — unless the Read ended inside
 // a frame larger than IngressMaxBuffer, which bypasses the batch
 // through ReadFull and is one frame, not a burst; a long run of
-// mostly-empty fills decays it back toward the floor. Partial frames at the end of a
-// batch are handed to the next fill by moving only the tail bytes —
-// never the whole buffer.
+// mostly-empty fills (such a Read counts as one) decays it back toward
+// the floor. Partial frames at the end of a batch are handed to the
+// next fill by moving only the tail bytes — never the whole buffer.
 //
 // Corruption handling is identical to FrameScanner's reject-and-resync:
 // a header is plausible when the magic matches and the length is within
@@ -81,9 +81,12 @@ type IngressReader struct {
 	// (checked after compaction would erase it from start/end alone).
 	lastFull bool
 
-	// Decay state: peak is the buffered high-water across the current
-	// run of sparse fills; sparse counts consecutive fills whose
-	// high-water stayed ≤ cap/4.
+	// Decay state: filled is the last fill's high-water, judged by the
+	// next fill (by then Next has seen whether it ended inside an
+	// oversized frame, which zeroes it); peak is the high-water across
+	// the current run of sparse fills; sparse counts consecutive fills
+	// whose high-water stayed ≤ cap/4.
+	filled int
 	peak   int
 	sparse int
 }
@@ -143,6 +146,7 @@ func (ir *IngressReader) fill(minFree int) error {
 		n := copy(*ir.buf, (*ir.buf)[ir.start:ir.end])
 		ir.start, ir.end = 0, n
 	}
+	ir.decay()
 	c := cap(*ir.buf)
 	switch {
 	case ir.end+minFree > c:
@@ -161,7 +165,7 @@ func (ir *IngressReader) fill(minFree int) error {
 		ir.end += n
 		if n > 0 {
 			ir.lastFull = ir.end == len(buf)
-			ir.decay()
+			ir.filled = ir.end
 			return nil
 		}
 		if err != nil {
@@ -170,27 +174,26 @@ func (ir *IngressReader) fill(minFree int) error {
 	}
 }
 
-// decay shrinks a large buffer back toward the recent high-water after
-// ingressShrinkAfter consecutive fills that used at most a quarter of
-// it, mirroring scratchBuf: steady small traffic releases a burst's
-// storage, while recurring bursts reset the run and keep theirs.
+// decay judges the previous fill and shrinks a large buffer back toward
+// the recent high-water after ingressShrinkAfter consecutive fills that
+// used at most a quarter of it, mirroring scratchBuf: steady small
+// traffic releases a burst's storage, while recurring bursts reset the
+// run and keep theirs. A fill that ended inside a frame too large to
+// batch counts as sparse however full it was: ReadFull moves the frame
+// into caller storage, and every batched byte of it is one more copy.
+// The caller has compacted the window to the front of the buffer.
 func (ir *IngressReader) decay() {
 	c := cap(*ir.buf)
 	if c <= IngressMinBuffer {
 		return
 	}
-	if ir.end > c/4 {
+	if ir.filled > c/4 {
 		ir.sparse, ir.peak = 0, 0
 		return
 	}
-	if ir.end > ir.peak {
-		ir.peak = ir.end
-	}
+	ir.peak = max(ir.peak, ir.filled)
 	if ir.sparse++; ir.sparse >= ingressShrinkAfter {
-		want := ir.peak
-		if want < IngressMinBuffer {
-			want = IngressMinBuffer
-		}
+		want := max(ir.peak, ir.end, IngressMinBuffer)
 		nb := make([]byte, want)
 		n := copy(nb, (*ir.buf)[ir.start:ir.end])
 		// The big buffer is NOT pooled on decay — decay exists to release
@@ -227,8 +230,9 @@ func (ir *IngressReader) Next() (payloadLen int, crc uint32, err error) {
 					// batch. ReadFull takes the rest straight into the
 					// caller's storage, so a full buffer here was one
 					// frame, not a burst: growing it would only lengthen
-					// the copy out of the batch.
-					ir.lastFull = false
+					// the copy out of the batch, and keeping it large
+					// does the same (decay).
+					ir.lastFull, ir.filled = false, 0
 				}
 				return int(length), binary.LittleEndian.Uint32(hdr[8:12]), nil
 			}

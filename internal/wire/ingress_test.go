@@ -532,3 +532,38 @@ func TestIngressInterleavedRawBytes(t *testing.T) {
 		t.Fatalf("%d reads for %d status+reply exchanges; want the batch to drain them", cr.reads, calls)
 	}
 }
+
+// TestIngressLargeFramesDecayAGrownBatch: a reader that starts with a
+// grown batch (a pooled buffer, or one an earlier burst left) and then
+// sees only frames larger than IngressMaxBuffer must let the batch decay
+// to the floor. Every such Read fills the batch, yet each is one frame
+// that ReadFull moves into caller storage, so a batch kept large copies
+// its whole capacity of every frame out of the batch.
+func TestIngressLargeFramesDecayAGrownBatch(t *testing.T) {
+	const frames, size = 40, 1_440_000
+	payload := bytes.Repeat([]byte{0x3C}, size)
+	var stream []byte
+	for i := 0; i < frames; i++ {
+		stream = AppendFrame(stream, payload)
+	}
+	ir := NewIngressReader(&chunkReader{data: stream}, size)
+	grown := make([]byte, IngressMaxBuffer)
+	ir.buf = &grown
+	defer ir.Release()
+	dst := make([]byte, size)
+	batched := 0 // bytes of the last frame copied out of the batch
+	for i := 0; i < frames; i++ {
+		n, crc, err := ir.Next()
+		if err != nil || n != size {
+			t.Fatalf("frame %d: n=%d err=%v", i, n, err)
+		}
+		batched = ir.Buffered()
+		if err := ir.ReadFull(dst); err != nil || Checksum(dst) != crc {
+			t.Fatalf("frame %d: err=%v, checksum ok=%v", i, err, Checksum(dst) == crc)
+		}
+	}
+	if batched > IngressMinBuffer {
+		t.Fatalf("frame %d still copied %d bytes out of a %d-byte batch, want at most %d",
+			frames-1, batched, cap(*ir.buf), IngressMinBuffer)
+	}
+}

@@ -100,6 +100,12 @@ check "a replication sequence or a repl_op/repl_snap message is built outside in
 check "hash/crc32 is imported outside internal/wire" \
 	"$(grep -rn '"hash/crc32"' --include='*.go' . | nontest | grep -v '^\./internal/wire/' || true)"
 
+# When to shard is the publisher's call alone (DESIGN §3.10): every
+# endpoint takes defaultShardPolicy, from its connection count. A shard
+# policy built anywhere else is a knob growing back.
+check "a shard policy is set outside internal/ros/shard.go" \
+	"$(grep -rn 'shardPolicy{' --include='*.go' . | nontest | grep -v '^\./internal/ros/shard\.go:' || true)"
+
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
 

@@ -10,8 +10,13 @@
 #      expected schema (node name, per-topic publisher instruments with
 #      the per-reason drops_oversized, core life-cycle gauges and the
 #      arena cache (fresh records, bytes pooled), graph-plane
-#      resilience instruments, and the sharded fan-out plane: per-shard
-#      egress counters plus the relay-tier gauges).
+#      resilience instruments, and the sharded fan-out plane: the pool
+#      gauges plus the relay-tier gauges).
+#
+# One subscriber is far below the shard threshold, so the publisher here
+# has no shard pool: the fan-out section carries its keys with zero
+# values. The live per-shard rows are checked in-package, against a
+# publisher with a pool (TestLiveShardRowsRender).
 #
 # Run via `make stats-smoke`. Requires curl; uses jq for JSON schema
 # validation when available, plain key grep otherwise.
@@ -44,11 +49,8 @@ if [ -z "$MASTER" ]; then
     exit 1
 fi
 
-# -shards 2 forces the sharded egress path, so the rostopic subscription
-# below (plain TCP: rospub does not enable shm) lands in the shard pool
-# and the fanout section of the snapshot carries live per-shard data.
 "$BIN/rospub" -master "$MASTER" -sfm -rate 100 -width 64 -height 64 \
-    -shards 2 -metrics 127.0.0.1:0 >"$BIN/pub.log" 2>&1 &
+    -metrics 127.0.0.1:0 >"$BIN/pub.log" 2>&1 &
 PUB_PID=$!
 METRICS=""
 for _ in $(seq 1 100); do
@@ -93,14 +95,8 @@ if command -v jq >/dev/null 2>&1; then
         and (.obs.graph.failovers == 0)
         and (.obs.graph.epoch >= 1)
         and (.obs.egress | has("writes") and has("frames") and has("coalesced_frames"))
-        and (.obs.egress.fanout.active_shards == 2)
-        and (.obs.egress.fanout | has("sharded_conns") and has("rebalances")
-             and has("shard_drops"))
-        and (.obs.egress.fanout.shards | length == 2)
-        and ([.obs.egress.fanout.shards[]
-              | has("conns") and has("frames") and has("writes") and has("bytes")]
-             | all)
-        and ([.obs.egress.fanout.shards[].frames] | add > 0)
+        and (.obs.egress.fanout | has("active_shards") and has("sharded_conns")
+             and has("rebalances") and has("shard_drops") and has("shards"))
         and (.obs.relay | has("active") and has("frames_in") and has("bytes_in")
              and has("frames_out") and has("drops") and has("mismatches"))
         and (.obs.shm | has("segments_mapped") and has("bytes_shared")
