@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-ipc bench-fanout bench-netfield bench-ingress bench-failover mutex-smoke chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor shm-floor clean
+.PHONY: all build test race bench bench-ipc bench-fanout bench-netfield bench-ingress bench-failover chaos chaos-master chaos-failover fuzz generate experiments examples stats-smoke pipeline-check alloc-floor shm-floor clean
 
 all: build test
 
@@ -75,19 +75,9 @@ bench-fanout:
 	$(GO) run ./cmd/rossf-bench fanout -out BENCH_fanout.json
 
 # Receive-side matrix: batched ingress drain (one Read wakeup draining
-# many frames) through the receive pump, plus the sharded-registry
-# contention cells (64 goroutines x 10k topics; scan-stall bound vs the
-# single-mutex layout) -> BENCH_ingress.json.
+# many frames) through the receive pump -> BENCH_ingress.json.
 bench-ingress:
 	$(GO) run ./cmd/rossf-bench ingress -out BENCH_ingress.json
-
-# Mutex-contention smoke: with mutex profiling at fraction 1, hammer
-# per-topic instrument lookups (64 goroutines x 10k topics), then read
-# the node's own /debug/pprof/mutex endpoint and assert the obs
-# registry no longer dominates the recorded contention (exit 1 if it
-# does).
-mutex-smoke:
-	$(GO) run ./cmd/rossf-bench mutexsmoke
 
 # Warm-standby failover at scale: a 100k-registration graph loaded
 # through a replicated master pair, then the primary is killed —

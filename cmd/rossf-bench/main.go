@@ -11,9 +11,8 @@
 //	rossf-bench ipc [-messages N] [-out BENCH_ipc.json]
 //	rossf-bench fanout [-messages N] [-repeats N] [-maxsubs N] [-size B] [-subs N] [-out BENCH_fanout.json]
 //	rossf-bench netfield [-messages N] [-repeats N] [-fields a,b] [-out BENCH_netfield.json]
-//	rossf-bench ingress [-frames N] [-repeats N] [-goroutines N] [-topics N] [-out BENCH_ingress.json]
+//	rossf-bench ingress [-frames N] [-repeats N] [-out BENCH_ingress.json]
 //	rossf-bench failover [-entries N] [-topics N] [-lease D] [-out BENCH_failover.json]
-//	rossf-bench mutexsmoke [-goroutines N] [-topics N]
 //	rossf-bench all
 //
 // -full selects the paper's exact run lengths (2000 messages at 10 Hz),
@@ -43,7 +42,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: rossf-bench <fig13|fig14|fig16|fig18|table1|ipc|fanout|netfield|ingress|failover|mutexsmoke|all> [flags]")
+		return fmt.Errorf("usage: rossf-bench <fig13|fig14|fig16|fig18|table1|ipc|fanout|netfield|ingress|failover|all> [flags]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -67,14 +66,12 @@ func run(args []string) error {
 		return runIngress(rest)
 	case "failover":
 		return runFailover(rest)
-	case "mutexsmoke":
-		return runMutexSmoke(rest)
 	case "fanout-drain":
 		// Internal: drain-worker child spawned by the fanout runner so
 		// the 10000-subscriber cells fit under per-process FD limits.
 		return runFanoutDrain(rest)
 	case "all":
-		for _, c := range []func([]string) error{runFig13, runFig14, runFig16, runFig18, runTable1, runIPC, runFanout, runNetfield, runIngress, runMutexSmoke} {
+		for _, c := range []func([]string) error{runFig13, runFig14, runFig16, runFig18, runTable1, runIPC, runFanout, runNetfield, runIngress} {
 			if err := c(nil); err != nil {
 				return err
 			}
@@ -340,17 +337,11 @@ func runIngress(args []string) error {
 	fs := flag.NewFlagSet("ingress", flag.ContinueOnError)
 	frames := fs.Int("frames", 30000, "measured frames at the smallest payload size")
 	repeats := fs.Int("repeats", 3, "runs per cell; the best run is reported")
-	goroutines := fs.Int("goroutines", 64, "workers in the registry-contention cells")
-	topics := fs.Int("topics", 10000, "topic namespace width in the registry-contention cells")
-	ops := fs.Int("ops", 50000, "lookups per worker in the registry-contention cells")
 	out := fs.String("out", "", "write the result as JSON to this file (e.g. BENCH_ingress.json)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := bench.RunIngress(bench.IngressConfig{
-		Frames: *frames, Repeats: *repeats,
-		Goroutines: *goroutines, Topics: *topics, Ops: *ops,
-	})
+	res, err := bench.RunIngress(bench.IngressConfig{Frames: *frames, Repeats: *repeats})
 	if err != nil {
 		return err
 	}
@@ -364,27 +355,6 @@ func runIngress(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
-}
-
-func runMutexSmoke(args []string) error {
-	fs := flag.NewFlagSet("mutexsmoke", flag.ContinueOnError)
-	goroutines := fs.Int("goroutines", 64, "workers hammering per-topic lookups")
-	topics := fs.Int("topics", 10000, "topic namespace width")
-	ops := fs.Int("ops", 20000, "lookups per worker")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	res, err := bench.RunMutexSmoke(bench.MutexSmokeConfig{
-		Goroutines: *goroutines, Topics: *topics, Ops: *ops,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	if !res.Pass {
-		return fmt.Errorf("obs registry dominates the mutex profile (%.1f%% >= 50%%)", res.ObsShare*100)
 	}
 	return nil
 }

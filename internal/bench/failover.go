@@ -192,5 +192,9 @@ func (r *FailoverResult) Format() string {
 
 // JSON serializes the result for BENCH_failover.json.
 func (r *FailoverResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }

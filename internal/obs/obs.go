@@ -11,6 +11,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,11 +189,10 @@ type FieldwireStats struct {
 
 // FanoutStats instruments the sharded egress fan-out plane,
 // registry-wide: every publisher endpoint whose connection count
-// crosses the sharding threshold (or that was configured with a forced
-// shard count) feeds the same set. ShardDrops counts whole-shard queue
-// overflows — one increment means every subscriber behind that shard
-// missed one publish, the sharded analogue of a per-connection queue
-// drop.
+// crosses the sharding threshold feeds the same set. ShardDrops counts
+// whole-shard queue overflows — one increment means every subscriber
+// behind that shard missed one publish, the sharded analogue of a
+// per-connection queue drop.
 type FanoutStats struct {
 	ActiveShards Gauge   // egress shard loops currently running
 	ShardedConns Gauge   // subscriber connections currently served by shards
@@ -273,68 +274,38 @@ type ServiceStats struct {
 	Latency Histogram // request → response latency
 }
 
-// registryShardCount is the number of hash stripes the instrument maps
-// are split across. Power of two so the stripe index is a mask; 16
-// stripes keep 64 concurrent lookup goroutines mostly collision-free
-// while the per-stripe maps stay dense.
-const registryShardCount = 16
-
-// registryShard is one stripe of the instrument namespace: its own lock
-// plus the slice of each map whose keys hash here.
-type registryShard struct {
+// Registry is a namespace of per-topic and per-service instruments.
+// One mutex guards the instrument maps and the egress-shard list.
+// Endpoint constructors look an instrument up once and cache it; every
+// later update is an atomic on the instrument itself, so no message
+// ever takes the lock.
+type Registry struct {
 	mu   sync.Mutex
 	pubs map[string]*PubStats
 	subs map[string]*SubStats
 	svcs map[string]*ServiceStats
-}
+	// eshards holds the per-shard instruments minted by EgressShard, in
+	// mint order.
+	eshards []*EgressShardStats
 
-// shardIndex stripes an instrument name with FNV-1a (inlined so lookup
-// allocates nothing).
-func shardIndex(key string) uint32 {
-	const offset, prime = 2166136261, 16777619
-	h := uint32(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime
-	}
-	return h & (registryShardCount - 1)
-}
-
-// Registry is a namespace of per-topic and per-service instruments.
-// Instrument lookup takes one stripe's mutex — distinct topics hash to
-// distinct stripes, so concurrent lookups on a 10k-topic graph don't
-// serialize on a single lock. The instruments themselves are returned
-// once, cached by the caller, and updated with atomics only — nothing
-// on a message hot path ever touches a registry lock. Snapshots merge
-// the stripes, so aggregated views are identical to the single-map
-// layout's.
-type Registry struct {
-	shards [registryShardCount]registryShard
-	shm    ShmStats
-	// egress, fanout, relay and graph live outside the stripe locks like
-	// shm: instruments are reached through the nil-safe accessors and
+	shm ShmStats
+	// egress, fanout, relay and graph live outside mu like shm:
+	// instruments are reached through the nil-safe accessors and
 	// updated with atomics only.
 	egress    EgressStats
 	fanout    FanoutStats
 	relay     RelayStats
 	graph     GraphStats
 	fieldwire FieldwireStats
-	// eshards holds the per-shard instruments minted by EgressShard, in
-	// mint order, under its own small lock (mints are rare; snapshots
-	// copy the slice).
-	eshardMu sync.Mutex
-	eshards  []*EgressShardStats
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].pubs = make(map[string]*PubStats)
-		r.shards[i].subs = make(map[string]*SubStats)
-		r.shards[i].svcs = make(map[string]*ServiceStats)
+	return &Registry{
+		pubs: make(map[string]*PubStats),
+		subs: make(map[string]*SubStats),
+		svcs: make(map[string]*ServiceStats),
 	}
-	return r
 }
 
 // Shm returns the registry's shared-memory transport instruments. Safe
@@ -396,9 +367,9 @@ func (r *Registry) EgressShard() *EgressShardStats {
 		return nil
 	}
 	s := &EgressShardStats{}
-	r.eshardMu.Lock()
+	r.mu.Lock()
 	r.eshards = append(r.eshards, s)
-	r.eshardMu.Unlock()
+	r.mu.Unlock()
 	return s
 }
 
@@ -423,13 +394,12 @@ func (r *Registry) Publisher(topic string) *PubStats {
 	if r == nil {
 		return nil
 	}
-	sh := &r.shards[shardIndex(topic)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.pubs[topic]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.pubs[topic]
 	if s == nil {
 		s = &PubStats{}
-		sh.pubs[topic] = s
+		r.pubs[topic] = s
 	}
 	return s
 }
@@ -440,13 +410,12 @@ func (r *Registry) Subscriber(topic string) *SubStats {
 	if r == nil {
 		return nil
 	}
-	sh := &r.shards[shardIndex(topic)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.subs[topic]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.subs[topic]
 	if s == nil {
 		s = &SubStats{}
-		sh.subs[topic] = s
+		r.subs[topic] = s
 	}
 	return s
 }
@@ -457,13 +426,12 @@ func (r *Registry) Service(name string) *ServiceStats {
 	if r == nil {
 		return nil
 	}
-	sh := &r.shards[shardIndex(name)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.svcs[name]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.svcs[name]
 	if s == nil {
 		s = &ServiceStats{}
-		sh.svcs[name] = s
+		r.svcs[name] = s
 	}
 	return s
 }
@@ -655,6 +623,15 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
+	// Copy the pointer maps and the shard list under the lock and load
+	// the atomics outside it, so a snapshot holds the lock only for the
+	// copies.
+	r.mu.Lock()
+	pubs := maps.Clone(r.pubs)
+	subs := maps.Clone(r.subs)
+	svcs := maps.Clone(r.svcs)
+	eshards := slices.Clone(r.eshards)
+	r.mu.Unlock()
 	snap.Shm = ShmSnapshot{
 		SegmentsMapped:  r.shm.SegmentsMapped.Load(),
 		BytesShared:     r.shm.BytesShared.Load(),
@@ -685,9 +662,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Shards:       []EgressShardSnapshot{},
 		},
 	}
-	r.eshardMu.Lock()
-	eshards := append([]*EgressShardStats(nil), r.eshards...)
-	r.eshardMu.Unlock()
 	for _, s := range eshards {
 		snap.Egress.Fanout.Shards = append(snap.Egress.Fanout.Shards, EgressShardSnapshot{
 			Conns:  s.Conns.Load(),
@@ -734,30 +708,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Graph.ReplicationLagMs = lag
 		}
 	}
-	// Merge the stripes: each shard is copied under its own lock, so a
-	// snapshot never stalls lookups on other stripes. The merged view is
-	// identical to the single-map layout's — stripe assignment is an
-	// implementation detail no key ever sees. The destination maps are
-	// pre-sized from a cheap counting pass so no stripe's lock hold pays
-	// for a rehash.
-	np, ns, nv := r.stripeLens()
-	pubs := make(map[string]*PubStats, np)
-	subs := make(map[string]*SubStats, ns)
-	svcs := make(map[string]*ServiceStats, nv)
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.pubs {
-			pubs[k] = v
-		}
-		for k, v := range sh.subs {
-			subs[k] = v
-		}
-		for k, v := range sh.svcs {
-			svcs[k] = v
-		}
-		sh.mu.Unlock()
-	}
 	for k, v := range pubs {
 		snap.Publishers[k] = PubSnapshot{
 			Messages:       v.Messages.Load(),
@@ -790,56 +740,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// ScanHolds measures, for each stripe, how long an aggregation scan
-// holds that stripe's lock — the merge loop in Snapshot copies a
-// stripe's instrument maps while data-plane lookups hashing to the same
-// stripe wait. The largest entry bounds the stall any single lookup can
-// see behind introspection; the single-lock layout this replaced held
-// one lock across the whole table for the same scan. The contention
-// bench (rossf-bench ingress) compares the two.
-func (r *Registry) ScanHolds() []time.Duration {
-	if r == nil {
-		return nil
-	}
-	out := make([]time.Duration, 0, registryShardCount)
-	np, ns, nv := r.stripeLens()
-	pubs := make(map[string]*PubStats, np)
-	subs := make(map[string]*SubStats, ns)
-	svcs := make(map[string]*ServiceStats, nv)
-	for i := range r.shards {
-		sh := &r.shards[i]
-		t0 := time.Now()
-		sh.mu.Lock()
-		for k, v := range sh.pubs {
-			pubs[k] = v
-		}
-		for k, v := range sh.subs {
-			subs[k] = v
-		}
-		for k, v := range sh.svcs {
-			svcs[k] = v
-		}
-		sh.mu.Unlock()
-		out = append(out, time.Since(t0))
-	}
-	return out
-}
-
-// stripeLens counts the instruments per class across all stripes (each
-// stripe under its own brief lock) so merge destinations can be
-// pre-sized before any copying hold begins.
-func (r *Registry) stripeLens() (pubs, subs, svcs int) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		pubs += len(sh.pubs)
-		subs += len(sh.subs)
-		svcs += len(sh.svcs)
-		sh.mu.Unlock()
-	}
-	return pubs, subs, svcs
-}
-
 // Topics returns the sorted union of topics with publisher or
 // subscriber instruments (for CLI display).
 func (r *Registry) Topics() []string {
@@ -847,17 +747,14 @@ func (r *Registry) Topics() []string {
 		return nil
 	}
 	set := make(map[string]struct{})
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for k := range sh.pubs {
-			set[k] = struct{}{}
-		}
-		for k := range sh.subs {
-			set[k] = struct{}{}
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	for k := range r.pubs {
+		set[k] = struct{}{}
 	}
+	for k := range r.subs {
+		set[k] = struct{}{}
+	}
+	r.mu.Unlock()
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)

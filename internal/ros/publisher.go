@@ -3,7 +3,6 @@ package ros
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"slices"
@@ -646,41 +645,55 @@ func (ep *pubEndpoint) admit(conn net.Conn, reply map[string]string, a *answer) 
 			ep.pool = newEgressShardPool(ep, ep.shards.n)
 			ep.poolActive.Store(true)
 		}
-		s := ep.pool.join(pc)
+		pool := ep.pool
+		s := pool.join(pc)
 		if l := ep.latched; l != nil {
 			if it, ok := latchItemFor(l); ok {
 				s.enqueue(shardItem{seq: l.seq, only: pc, it: it})
 			}
 		}
+		ep.wg.Add(1)
 		ep.mu.Unlock()
+		go func() {
+			defer ep.wg.Done()
+			awaitHangup(conn)
+			pool.drop(pc)
+		}()
 		return nil
 	}
 	pc.ch = make(chan frameItem, ep.queueSize)
 	ep.att = &attachments{conns: added(ep.att.conns, pc), targets: ep.att.targets}
 	joined := ep.pubSeq
+	ep.wg.Add(2)
 	ep.mu.Unlock()
 
-	ep.wg.Add(1)
 	go func() {
 		defer ep.wg.Done()
 		pc.writeLoop()
 		ep.dropConn(pc)
 	}()
-	if pc.shm != nil {
-		// The frames go to the queue, which leaves the connection one job:
-		// to end. The subscriber sends nothing after the handshake, so this
-		// read returns when it hangs up or dies (or teardown closed the
-		// connection), and the link — lease included — goes with it even
-		// if the publisher never writes again.
-		ep.wg.Add(1)
-		go func() {
-			defer ep.wg.Done()
-			io.Copy(io.Discard, conn) //nolint:errcheck // any return is the end of the link
-			pc.teardown()
-		}()
-	}
+	go func() {
+		defer ep.wg.Done()
+		awaitHangup(conn)
+		pc.teardown()
+	}()
 	ep.deliverLatchedTCP(pc, joined)
 	return nil
+}
+
+// awaitHangup parks one read on a subscriber link and returns when the
+// link ends: the subscriber hung up or died, or teardown closed the
+// connection. Subscribers send nothing after the handshake, whatever
+// the link carries (plain, masked or shm frames), so any bytes that do
+// arrive are discarded. This is how a link on an idle topic learns its
+// subscriber is gone: no write has to fail first.
+func awaitHangup(conn net.Conn) {
+	var buf [64]byte
+	for {
+		if _, err := conn.Read(buf[:]); err != nil {
+			return
+		}
+	}
 }
 
 // latchItemFor builds a queue item carrying the latched message.

@@ -106,6 +106,23 @@ check "hash/crc32 is imported outside internal/wire" \
 check "a shard policy is set outside internal/ros/shard.go" \
 	"$(grep -rn 'shardPolicy{' --include='*.go' . | nontest | grep -v '^\./internal/ros/shard\.go:' || true)"
 
+# The instrument registry is a name service (DESIGN §3.13): an endpoint
+# looks its instruments up once, in its constructor, and updates them
+# with atomics ever after, so no message takes the registry's lock. A
+# lookup anywhere else puts that lock back on a message path.
+lookup() { # registry method, file under internal/ros, constructor
+	all=$(grep -rn "\.metrics\.$1(" internal/ros --include='*.go' | nontest || true)
+	ctor=$(awk -v fn="^func $3[[(]" -v call="\\.metrics\\.$1\\(" \
+		'$0 ~ fn {f=1} f && $0 ~ call {print} f && /^}/ {f=0}' "internal/ros/$2")
+	if [ "$(printf '%s\n' "$all" | grep -c . || true)" -ne 1 ] || [ -z "$ctor" ]; then
+		check "the registry's $1 lookup is not one call in $3 (internal/ros/$2)" \
+			"${all:-no .metrics.$1( call in internal/ros}"
+	fi
+}
+lookup Publisher publisher.go newPubEndpoint
+lookup Subscriber subscriber.go newSubscriber
+lookup Service service.go AdvertiseService
+
 check "DialDrain spells its own header map" \
 	"$(sed -n '/^func DialDrain(/,/^}/p' internal/ros/drain.go | grep -n 'map\[string\]string{' || true)"
 
